@@ -3,8 +3,10 @@
 //! The load-bearing numbers:
 //! * `span_disabled` — the cost every instrumented call site pays when
 //!   tracing is off (one relaxed atomic load; the PR's budget is ≤5ns);
-//! * `encode_untraced` vs `encode_traced` — what the trace header adds
-//!   to a wire frame (and that its absence adds nothing);
+//! * `encode_plain` vs `encode_with_trace` — a request behind the fixed
+//!   wire header without and with its trace context (an absent context
+//!   costs no header bytes), and `decode_with_trace` — splitting that
+//!   header off and decoding the body;
 //! * `windowed_record` / `windowed_snapshot` — the SLO tracker's
 //!   per-sample and per-evaluation cost;
 //! * `hist_merge` — the bucket-wise fold the cluster aggregation does
@@ -15,7 +17,7 @@
 use std::sync::Arc;
 
 use bora_obs::{ExpHistogram, TraceContext, WindowedHistogram};
-use bora_serve::{MemTransport, Request, ServeClient, Server, ServerConfig};
+use bora_serve::{Header, MemTransport, Request, ServeClient, Server, ServerConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use simfs::MemStorage;
 use std::hint::black_box;
@@ -63,12 +65,14 @@ fn bench_trace_header(c: &mut Criterion) {
         topics: vec!["/imu".into(), "/tf".into()],
         range: None,
     };
-    group.bench_function("encode_untraced", |b| b.iter(|| black_box(&req).encode_traced(None)));
+    let plain = Header { corr: 1, ..Header::default() };
+    group.bench_function("encode_plain", |b| b.iter(|| black_box(&plain).encode(&req)));
     let ctx = TraceContext { trace_id: 0x1234, parent_span: 0x5678, sampled: true };
-    group.bench_function("encode_traced", |b| b.iter(|| black_box(&req).encode_traced(Some(ctx))));
-    let traced = req.encode_traced(Some(ctx));
-    group.bench_function("decode_traced", |b| {
-        b.iter(|| Request::decode_traced(black_box(&traced)).unwrap())
+    let traced = Header { trace: Some(ctx), ..plain };
+    group.bench_function("encode_with_trace", |b| b.iter(|| black_box(&traced).encode(&req)));
+    let wire = traced.encode(&req);
+    group.bench_function("decode_with_trace", |b| {
+        b.iter(|| Header::decode(black_box(&wire)).unwrap())
     });
     group.finish();
 }

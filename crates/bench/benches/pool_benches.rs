@@ -8,17 +8,13 @@
 //! * `encode_lzss` / `encode_raw_fallback` — the compaction/organizer
 //!   write cost per 64 KiB block, compressible vs incompressible;
 //! * `decode_lzss` / `decode_raw` — the cursor-fill cost per block (CRC
-//!   verify + decompress), i.e. what a pool *miss* pays over a hit;
-//! * `stream_chunk_lz_roundtrip` — one compressed wire chunk through
-//!   `compress_chunk` + `decompress_chunk` (the ReadStream2 unit).
+//!   verify + decompress), i.e. what a pool *miss* pays over a hit.
 
 use std::hint::black_box;
 
 use bora::block::{decode_frame, encode_frame};
 use bora::{BlockCodec, BufferPool};
-use bora_serve::{compress_chunk, decompress_chunk, Response, WireMessage};
 use criterion::{criterion_group, criterion_main, Criterion};
-use ros_msgs::Time;
 use simfs::IoCtx;
 
 const BLOCK: usize = 64 * 1024;
@@ -119,28 +115,5 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_stream_chunk(c: &mut Criterion) {
-    let mut group = c.benchmark_group("stream_chunk");
-    group.sample_size(30);
-
-    // One server-side chunk: 32 IMU-sized structured payloads.
-    let msgs: Vec<WireMessage> = (0..32u32)
-        .map(|i| {
-            let mut data = vec![0u8; 320];
-            data[0] = i as u8;
-            WireMessage { topic: "/imu".into(), time: Time::new(100 + i, 0), data }
-        })
-        .collect();
-    group.bench_function("stream_chunk_lz_roundtrip", |b| {
-        b.iter(|| {
-            let mut ctx = IoCtx::new();
-            let resp = compress_chunk(black_box(&msgs), &mut ctx);
-            let Response::StreamChunkLz(frame) = resp else { unreachable!() };
-            black_box(decompress_chunk(&frame).unwrap().len())
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_pool, bench_codec, bench_stream_chunk);
+criterion_group!(benches, bench_pool, bench_codec);
 criterion_main!(benches);

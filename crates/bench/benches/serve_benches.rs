@@ -13,7 +13,7 @@ use simfs::{IoCtx, MemStorage};
 use std::hint::black_box;
 
 fn read_response(messages: usize, payload: usize) -> Response {
-    Response::Read(
+    Response::StreamChunk(
         (0..messages)
             .map(|i| WireMessage {
                 topic: "/camera/depth/image".into(),

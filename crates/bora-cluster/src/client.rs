@@ -15,9 +15,10 @@
 //!   to a replica and the first answer wins. `cluster.hedge.issued` /
 //!   `cluster.hedge.wins` export the win rate via bora-obs;
 //! * **streaming failover** — [`ClusterStream`] resumes a broken
-//!   `READ_STREAM` on a replica by re-issuing the query and skipping the
+//!   `READ` on a replica by re-issuing the query and skipping the
 //!   messages already delivered. The server-side merge order is
-//!   deterministic (`(time, lane)` tie-break), so the resumed stream is
+//!   deterministic (`(time, lane)` tie-break), and the stream receiver
+//!   stops at the first missing frame, so the resumed stream is
 //!   byte-identical to an unbroken one;
 //! * **cluster-wide merge** — [`MergedStream`] k-way heap-merges the
 //!   per-container streams of many nodes into one chronological stream,
@@ -30,9 +31,8 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use bora_serve::{
-    ClientError, ClientResult, Connection, ErrorCode, MetricsReport, PingInfo, ProtoError,
-    QueryReply, Request, Response, RetryBudget, RetryBudgetConfig, ServeClient, StatsSnapshot,
-    Transport, WireMessage,
+    ClientError, ClientResult, ErrorCode, MetricsReport, PingInfo, QueryReply, RetryBudget,
+    RetryBudgetConfig, ServeClient, StatsSnapshot, Transport, WireMessage,
 };
 use crossbeam::channel::{self, RecvTimeoutError};
 use ros_msgs::Time;
@@ -77,7 +77,7 @@ pub struct ClusterClientConfig {
     pub hedge: Option<HedgeConfig>,
     pub breaker: BreakerConfig,
     /// Per-request deadline budget stamped on every routed request (the
-    /// wire deadline prefix), so servers shed work that expired in their
+    /// request header's deadline), so servers shed work that expired in their
     /// queues. `None` sends deadline-free requests.
     pub deadline: Option<Duration>,
     /// Token-bucket budget shared by every failover hop and stream
@@ -775,7 +775,8 @@ where
         self.nodes.iter().map(|(id, ep)| (*id, ep.attempt(&mut |c| c.ping()))).collect()
     }
 
-    /// One node's `STATS` snapshot (virtual-time accounting lives here).
+    /// One node's [`StatsSnapshot`] (virtual-time accounting lives
+    /// here), projected from its `METRICS` scrape.
     pub fn node_stats(&self, node: NodeId) -> ClientResult<StatsSnapshot> {
         let ep = self.nodes.get(&node).ok_or_else(|| no_nodes(&format!("node {node}")))?;
         ep.attempt(&mut |c| c.stats())
@@ -817,17 +818,22 @@ where
 
 // ----------------------------------------------------------------- stream
 
-/// A cluster-routed `READ_STREAM` with mid-stream failover.
+/// The node currently serving a [`ClusterStream`], and its connection.
+type StreamLeg<T> = (Arc<NodeEndpoint<T>>, ServeClient<<T as Transport>::Conn>);
+
+/// A cluster-routed `READ` with mid-stream failover.
 ///
 /// If the serving node dies mid-stream, the identical query is re-issued
 /// to the next replica and the first `fetched` messages of the re-issue
 /// are skipped. Both nodes merge the same container with the same
-/// deterministic `(time, lane)` order, so the resumed tail continues the
-/// broken stream byte-for-byte.
+/// deterministic `(time, lane)` order, and the node's stream receiver
+/// ([`ServeClient::recv_chunk`]) fails at the first lost, duplicated or
+/// reordered frame instead of passing a damaged batch on, so the resumed
+/// tail continues the broken stream byte-for-byte.
 pub struct ClusterStream<T: Transport> {
     eps: Vec<Arc<NodeEndpoint<T>>>,
     cursor: usize,
-    current: Option<(Arc<NodeEndpoint<T>>, T::Conn)>,
+    current: Option<StreamLeg<T>>,
     container: String,
     topics: Vec<String>,
     range: Option<(Time, Time)>,
@@ -853,11 +859,6 @@ impl<T: Transport> ClusterStream<T> {
     }
 
     fn connect_next(&mut self) -> ClientResult<()> {
-        let req = Request::ReadStream {
-            container: self.container.clone(),
-            topics: self.topics.clone(),
-            range: self.range,
-        };
         let mut last: Option<ClientError> = None;
         while self.cursor < self.eps.len() {
             let ep = Arc::clone(&self.eps[self.cursor]);
@@ -865,27 +866,20 @@ impl<T: Transport> ClusterStream<T> {
             // Propagate whatever span is open at (re)connect time — for a
             // mid-stream failover that is still the caller's span, so the
             // resumed stream stays in the same trace tree.
-            let deadline_ns =
-                self.deadline.map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-            match ep.transport.connect() {
-                Ok(mut conn) => {
-                    match conn
-                        .send_frame(&req.encode_framed(bora_obs::current_context(), deadline_ns))
-                    {
-                        Ok(()) => {
-                            self.skip = self.fetched;
-                            self.current = Some((ep, conn));
-                            return Ok(());
-                        }
-                        Err(e) => {
-                            ep.breaker.lock().unwrap().on_failure();
-                            last = Some(e.into());
-                        }
-                    }
+            let sent = ServeClient::connect(&ep.transport).and_then(|mut client| {
+                client.set_deadline(self.deadline);
+                client.send_read(&self.container, self.topics.clone(), self.range)?;
+                Ok(client)
+            });
+            match sent {
+                Ok(client) => {
+                    self.skip = self.fetched;
+                    self.current = Some((ep, client));
+                    return Ok(());
                 }
                 Err(e) => {
                     ep.breaker.lock().unwrap().on_failure();
-                    last = Some(e.into());
+                    last = Some(e);
                 }
             }
         }
@@ -919,30 +913,20 @@ impl<T: Transport> ClusterStream<T> {
             if self.done || !self.buffer.is_empty() {
                 return None;
             }
-            let Some((_, conn)) = self.current.as_mut() else {
+            let Some((_, client)) = self.current.as_mut() else {
                 return Some(no_nodes(&self.container));
             };
-            let frame = match conn.recv_frame() {
-                Ok(f) => f,
-                Err(_) => {
-                    if let Some(e) = self.failover() {
-                        return Some(e);
-                    }
-                    continue;
+            match client.recv_chunk() {
+                Ok(Some(msgs)) => {
+                    // Skip the prefix a failed-over stream already
+                    // delivered; every chunk before the break arrived
+                    // whole and in order, so the count is exact.
+                    let skip = self.skip.min(msgs.len() as u64);
+                    self.skip -= skip;
+                    self.buffer.extend(msgs.into_iter().skip(skip as usize));
+                    self.fetched += self.buffer.len() as u64;
                 }
-            };
-            match Response::decode(&frame) {
-                Ok(Response::StreamChunk(msgs)) => {
-                    for m in msgs {
-                        if self.skip > 0 {
-                            self.skip -= 1;
-                        } else {
-                            self.fetched += 1;
-                            self.buffer.push_back(m);
-                        }
-                    }
-                }
-                Ok(Response::StreamEnd { .. }) => {
+                Ok(None) => {
                     if let Some((ep, _)) = self.current.take() {
                         ep.breaker.lock().unwrap().on_success();
                     }
@@ -951,34 +935,17 @@ impl<T: Transport> ClusterStream<T> {
                     }
                     self.done = true;
                 }
-                Ok(Response::Overloaded) => {
+                // Transport faults, overload, transient server errors and
+                // a damaged stream (lost, duplicated or reordered frame)
+                // all resume on the next replica.
+                Err(e) if should_failover(&e) => {
                     if let Some(e) = self.failover() {
                         return Some(e);
                     }
                 }
-                Ok(Response::Error { code, message }) => {
-                    let err = ClientError::Server { code, message };
-                    if should_failover(&err) {
-                        if let Some(e) = self.failover() {
-                            return Some(e);
-                        }
-                    } else {
-                        self.done = true;
-                        return Some(err);
-                    }
-                }
-                Ok(other) => {
+                Err(e) => {
                     self.done = true;
-                    return Some(ClientError::Proto(ProtoError(format!(
-                        "unexpected response in READ_STREAM: {other:?}"
-                    ))));
-                }
-                Err(_) => {
-                    // Undecodable frame: treat as a desynchronized
-                    // stream, same as a transport fault.
-                    if let Some(e) = self.failover() {
-                        return Some(e);
-                    }
+                    return Some(e);
                 }
             }
         }

@@ -15,7 +15,7 @@
 //!   nodes, fails over to replicas on transport faults and
 //!   `Io`/`ChecksumMismatch` errors, hedges slow reads against a replica
 //!   (adaptive EWMA threshold, win rate exported via bora-obs), resumes
-//!   broken `READ_STREAM`s on a replica byte-identically, and k-way
+//!   broken `READ` streams on a replica byte-identically, and k-way
 //!   heap-merges multi-container streams cluster-wide;
 //! * [`health`] — per-node circuit breakers, count-based for
 //!   determinism;

@@ -39,6 +39,12 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Relaxed)
     }
+
+    /// Publish a monotone total kept elsewhere: the counter becomes
+    /// `max(current, v)`, so concurrent publishers never double-count.
+    pub fn raise_to(&self, v: u64) {
+        self.0.fetch_max(v, Relaxed);
+    }
 }
 
 /// A last-writer-wins signed gauge.

@@ -20,7 +20,7 @@ use bora::{BoraBag, BoraResult, BufferPool};
 use parking_lot::Mutex;
 use simfs::{IoCtx, Storage};
 
-/// Counters exposed through `STATS`.
+/// Counters published into the `METRICS` scrape as `serve.cache.*`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,

@@ -14,9 +14,10 @@ use std::time::{Duration, Instant};
 
 use ros_msgs::Time;
 
+use crate::metrics::StatsSnapshot;
 use crate::proto::{
-    ContainerStat, ErrorCode, MetricsReport, PingInfo, ProtoError, Request, Response,
-    StatsSnapshot, WireMessage,
+    split_response, ContainerStat, ErrorCode, Header, MetricsReport, PingInfo, ProtoError, Request,
+    Response, WireMessage,
 };
 use crate::transport::{Connection, Transport};
 
@@ -94,21 +95,25 @@ pub type ClientResult<T> = Result<T, ClientError>;
 /// A connected bora-serve client.
 pub struct ServeClient<C: Connection> {
     conn: C,
-    /// Budget stamped on each outgoing request ([`Request::encode_framed`]
-    /// deadline prefix); `None` sends deadline-free requests.
+    /// Budget stamped on each outgoing request's [`Header`]; `None`
+    /// sends deadline-free requests.
     deadline: Option<Duration>,
-    /// Correlation sequence of the most recent request on this
-    /// connection. Every request is stamped (`proto::wrap_corr`) and the
-    /// server echoes the seq on each frame of its answer, so a stale
+    /// Correlation id of the most recent request on this connection.
+    /// The server echoes it on every frame of its answer, so a stale
     /// frame — a duplicate or reordered leftover from an earlier
     /// request — is discarded instead of being mistaken for the current
     /// response (or worse, an append ack).
-    seq: u32,
+    corr: u32,
+    /// Index of the next frame expected within the current answer.
+    next_frame: u32,
+    /// Messages received so far in the current `READ` answer, checked
+    /// against the count its `StreamEnd` reports.
+    streamed: u64,
 }
 
 impl<C: Connection> ServeClient<C> {
     pub fn new(conn: C) -> Self {
-        ServeClient { conn, deadline: None, seq: 0 }
+        ServeClient { conn, deadline: None, corr: 0, next_frame: 0, streamed: 0 }
     }
 
     /// Connect through a transport.
@@ -119,7 +124,7 @@ impl<C: Connection> ServeClient<C> {
     /// Set the deadline budget stamped on every subsequent request. The
     /// server sheds a request whose budget was already spent in its
     /// queue, answering [`ErrorCode::DeadlineExceeded`] instead of doing
-    /// dead work. `None` (the default) sends no deadline header.
+    /// dead work. `None` (the default) sends no deadline.
     pub fn set_deadline(&mut self, deadline: Option<Duration>) {
         self.deadline = deadline;
     }
@@ -130,47 +135,93 @@ impl<C: Connection> ServeClient<C> {
         self.conn.set_timeout(timeout)
     }
 
-    fn deadline_ns(&self) -> Option<u64> {
-        self.deadline.map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
+    /// Send one request under a fresh correlation id. With tracing on,
+    /// the header carries the caller's span context so server-side spans
+    /// parent under it; with tracing off, `current_context()` is `None`
+    /// and the header carries no trace bytes.
+    fn send(&mut self, req: &Request) -> ClientResult<()> {
+        self.corr = self.corr.wrapping_add(1);
+        self.next_frame = 0;
+        let hdr = Header {
+            corr: self.corr,
+            deadline_ns: self.deadline.map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
+            trace: bora_obs::current_context(),
+        };
+        self.conn.send_frame(&hdr.encode(req))?;
+        Ok(())
     }
 
-    /// Advance and return the correlation seq for one outgoing request.
-    fn next_seq(&mut self) -> u32 {
-        self.seq = self.seq.wrapping_add(1);
-        self.seq
-    }
-
-    /// Receive the next frame belonging to request `seq`, discarding
-    /// stale frames (leftovers of an earlier request that the network
-    /// duplicated or reordered). Uncorrelated frames are passed through:
-    /// a plain peer never stales by construction (strict one-in-one-out).
-    fn recv_matching(&mut self, seq: u32) -> ClientResult<Vec<u8>> {
+    /// Receive the next frame of the current answer, with its body size.
+    ///
+    /// This is the one response receiver. Frames of an earlier request,
+    /// and frames of this answer whose index was already received (a
+    /// network duplicate), are discarded. A frame *ahead* of the next
+    /// expected index means one was lost or reordered: that is a typed
+    /// [`ClientError::Proto`] (transient — the connection is
+    /// desynchronized and a retry layer reconnects), never a silently
+    /// shorter or reordered answer.
+    fn recv(&mut self) -> ClientResult<(Response, usize)> {
         loop {
             let payload = self.conn.recv_frame()?;
-            match crate::proto::peel_corr(&payload) {
-                (Some(got), inner) if got == seq => return Ok(inner.to_vec()),
-                (Some(_), _) => continue,
-                (None, _) => return Ok(payload),
+            let (corr, frame, body) = split_response(&payload).map_err(ClientError::Proto)?;
+            if corr != self.corr || frame < self.next_frame {
+                continue;
             }
+            if frame > self.next_frame {
+                return Err(ClientError::Proto(ProtoError(format!(
+                    "response frame {frame} arrived while expecting frame {}",
+                    self.next_frame
+                ))));
+            }
+            self.next_frame += 1;
+            return Ok((Response::decode(body).map_err(ClientError::Proto)?, body.len()));
+        }
+    }
+
+    /// Like [`ServeClient::recv`], mapping error and overload frames to
+    /// their [`ClientError`]s.
+    fn recv_ok(&mut self) -> ClientResult<(Response, usize)> {
+        match self.recv()? {
+            (Response::Error { code, message }, _) => Err(ClientError::Server { code, message }),
+            (Response::Overloaded, _) => Err(ClientError::Overloaded),
+            ok => Ok(ok),
         }
     }
 
     fn roundtrip(&mut self, req: &Request) -> ClientResult<Response> {
-        // With tracing on, requests carry the caller's span context so
-        // server-side spans parent under it; with tracing off,
-        // `current_context()` is `None` and the bytes are exactly the
-        // untraced encoding. Likewise the deadline prefix only appears
-        // when a budget is set.
-        let seq = self.next_seq();
-        self.conn.send_frame(&crate::proto::wrap_corr(
-            seq,
-            &req.encode_framed(bora_obs::current_context(), self.deadline_ns()),
-        ))?;
-        let payload = self.recv_matching(seq)?;
-        match Response::decode(&payload).map_err(ClientError::Proto)? {
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            Response::Overloaded => Err(ClientError::Overloaded),
-            resp => Ok(resp),
+        self.send(req)?;
+        Ok(self.recv_ok()?.0)
+    }
+
+    /// Issue a `READ` whose answer is then pulled, batch by batch, with
+    /// [`ServeClient::recv_chunk`]. [`ServeClient::read_stream`] wraps
+    /// this pair as an iterator; routers that own the client (and
+    /// resume broken streams elsewhere) call it directly.
+    pub fn send_read(
+        &mut self,
+        container: &str,
+        topics: Vec<String>,
+        range: Option<(Time, Time)>,
+    ) -> ClientResult<()> {
+        self.streamed = 0;
+        self.send(&Request::Read { container: container.into(), topics, range })
+    }
+
+    /// Next batch of the `READ` in flight: `Some(messages)` per chunk
+    /// frame, `None` once the stream ended with every message it
+    /// announced. Any error ends the stream.
+    pub fn recv_chunk(&mut self) -> ClientResult<Option<Vec<WireMessage>>> {
+        match self.recv_ok()?.0 {
+            Response::StreamChunk(msgs) => {
+                self.streamed += msgs.len() as u64;
+                Ok(Some(msgs))
+            }
+            Response::StreamEnd { messages } if messages == self.streamed => Ok(None),
+            Response::StreamEnd { messages } => Err(ClientError::Proto(ProtoError(format!(
+                "stream announced {messages} messages but carried {}",
+                self.streamed
+            )))),
+            other => Err(unexpected("READ", &other)),
         }
     }
 
@@ -199,6 +250,7 @@ impl<C: Connection> ServeClient<C> {
         }
     }
 
+    /// Read messages of `topics`, collecting the streamed answer.
     pub fn read(&mut self, container: &str, topics: &[&str]) -> ClientResult<Vec<WireMessage>> {
         self.read_inner(container, topics, None)
     }
@@ -219,18 +271,10 @@ impl<C: Connection> ServeClient<C> {
         topics: &[&str],
         range: Option<(Time, Time)>,
     ) -> ClientResult<Vec<WireMessage>> {
-        let req = Request::Read {
-            container: container.into(),
-            topics: topics.iter().map(|t| (*t).to_owned()).collect(),
-            range,
-        };
-        match self.roundtrip(&req)? {
-            Response::Read(messages) => Ok(messages),
-            other => Err(unexpected("READ", &other)),
-        }
+        self.read_stream_inner(container, topics, range)?.collect()
     }
 
-    /// Issue a `READ_STREAM` and iterate messages as chunk frames arrive,
+    /// Issue a `READ` and iterate messages as chunk frames arrive,
     /// instead of waiting for the full result set like [`ServeClient::read`].
     ///
     /// The iterator borrows the client exclusively (the protocol allows
@@ -263,34 +307,8 @@ impl<C: Connection> ServeClient<C> {
         topics: &[&str],
         range: Option<(Time, Time)>,
     ) -> ClientResult<ReadStream<'_, C>> {
-        let topics: Vec<String> = topics.iter().map(|t| (*t).to_owned()).collect();
-        // Lead with READ_STREAM2 so the server may ship LZ-compressed
-        // chunks. A server that predates the opcode answers BadRequest,
-        // and `fetch` transparently reissues the plain READ_STREAM — one
-        // wasted round trip per stream against an old peer, compressed
-        // chunks everywhere else.
-        let req =
-            Request::ReadStream2 { container: container.into(), topics: topics.clone(), range };
-        let fallback = Request::ReadStream { container: container.into(), topics, range };
-        self.send_stream_req(&req)?;
-        Ok(ReadStream {
-            client: self,
-            buffer: std::collections::VecDeque::new(),
-            done: false,
-            received: 0,
-            fallback: Some(fallback),
-        })
-    }
-
-    /// Send one streaming request (no response is read here — the
-    /// [`ReadStream`] pulls the answer frames).
-    fn send_stream_req(&mut self, req: &Request) -> ClientResult<()> {
-        let seq = self.next_seq();
-        self.conn.send_frame(&crate::proto::wrap_corr(
-            seq,
-            &req.encode_framed(bora_obs::current_context(), self.deadline_ns()),
-        ))?;
-        Ok(())
+        self.send_read(container, owned(topics), range)?;
+        Ok(ReadStream { client: self, buffer: Vec::new().into_iter(), done: false, received: 0 })
     }
 
     /// Execute a `bora-query` statement server-side and collect the
@@ -318,13 +336,12 @@ impl<C: Connection> ServeClient<C> {
         sql: &str,
         partial: bool,
     ) -> ClientResult<QueryReply> {
-        let req = Request::Query { container: container.into(), sql: sql.into(), partial };
-        self.send_stream_req(&req)?;
+        self.send(&Request::Query { container: container.into(), sql: sql.into(), partial })?;
         let mut reply = QueryReply::default();
         loop {
-            let payload = self.recv_matching(self.seq)?;
-            reply.wire_bytes += payload.len() as u64;
-            match Response::decode(&payload).map_err(ClientError::Proto)? {
+            let (resp, body_len) = self.recv_ok()?;
+            reply.wire_bytes += body_len as u64;
+            match resp {
                 Response::QuerySchema(cols) => reply.columns = cols,
                 Response::QueryChunk(blob) => {
                     let rows = bora_query::decode_rows(&blob)
@@ -336,10 +353,6 @@ impl<C: Connection> ServeClient<C> {
                     reply.explain = explain;
                     return Ok(reply);
                 }
-                Response::Error { code, message } => {
-                    return Err(ClientError::Server { code, message })
-                }
-                Response::Overloaded => return Err(ClientError::Overloaded),
                 other => return Err(unexpected("QUERY", &other)),
             }
         }
@@ -377,11 +390,9 @@ impl<C: Connection> ServeClient<C> {
         }
     }
 
+    /// Server-wide summary, projected from one `METRICS` scrape.
     pub fn stats(&mut self) -> ClientResult<StatsSnapshot> {
-        match self.roundtrip(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(unexpected("STATS", &other)),
-        }
+        self.metrics().map(|r| StatsSnapshot::from_report(&r))
     }
 
     /// Health probe: server id, uptime, live queue depth. Control-plane,
@@ -421,6 +432,10 @@ impl<C: Connection> ServeClient<C> {
     }
 }
 
+fn owned(topics: &[&str]) -> Vec<String> {
+    topics.iter().map(|t| (*t).to_owned()).collect()
+}
+
 fn unexpected(op: &str, resp: &Response) -> ClientError {
     ClientError::Proto(ProtoError(format!("unexpected response to {op}: {resp:?}")))
 }
@@ -445,23 +460,18 @@ pub struct QueryReply {
 
 // ----------------------------------------------------------------- stream
 
-/// An in-flight `READ_STREAM`: yields messages as the server's merge
-/// produces them. Created by [`ServeClient::read_stream`].
+/// An in-flight `READ`: yields messages as the server's merge produces
+/// them. Created by [`ServeClient::read_stream`].
 ///
 /// The first error is terminal — after yielding `Err` the iterator is
 /// exhausted. On drop, any frames still owed by the server are drained
-/// (and discarded) so the next request on this connection does not read a
-/// stale stream frame as its answer.
+/// (and discarded) so the server finishes or aborts the stream before
+/// the connection's next request.
 pub struct ReadStream<'a, C: Connection> {
     client: &'a mut ServeClient<C>,
-    buffer: std::collections::VecDeque<WireMessage>,
+    buffer: std::vec::IntoIter<WireMessage>,
     done: bool,
     received: u64,
-    /// Plain `READ_STREAM` to reissue if the server rejects the leading
-    /// `READ_STREAM2` as an unknown opcode (old peer). Cleared on the
-    /// first successful frame so a genuine mid-stream `BadRequest` is
-    /// surfaced, not swallowed by a pointless retry.
-    fallback: Option<Request>,
 }
 
 impl<C: Connection> ReadStream<'_, C> {
@@ -471,70 +481,21 @@ impl<C: Connection> ReadStream<'_, C> {
     }
 
     /// Pull the next frame off the connection into `buffer`; flips `done`
-    /// on any terminal frame (`StreamEnd`, error, overload) or transport
-    /// failure (the connection is desynchronized then — nothing left to
-    /// drain).
+    /// on the end of the stream or any error (after which the
+    /// connection has nothing left to drain, or is desynchronized).
     fn fetch(&mut self) -> ClientResult<()> {
-        // Every chunk of this stream echoes the request's seq; stale
-        // frames from earlier requests are discarded inside.
-        let payload = match self.client.recv_matching(self.client.seq) {
-            Ok(p) => p,
-            Err(e) => {
-                self.done = true;
-                return Err(e);
-            }
-        };
-        match Response::decode(&payload) {
-            Ok(Response::StreamChunk(msgs)) => {
-                self.fallback = None;
-                self.buffer.extend(msgs);
+        match self.client.recv_chunk() {
+            Ok(Some(msgs)) => {
+                self.buffer = msgs.into_iter();
                 Ok(())
             }
-            Ok(Response::StreamChunkLz(frame)) => {
-                self.fallback = None;
-                match crate::proto::decompress_chunk(&frame) {
-                    Ok(msgs) => {
-                        self.buffer.extend(msgs);
-                        Ok(())
-                    }
-                    Err(e) => {
-                        self.done = true;
-                        Err(ClientError::Proto(e))
-                    }
-                }
-            }
-            Ok(Response::StreamEnd { .. }) => {
+            Ok(None) => {
                 self.done = true;
                 Ok(())
             }
-            Ok(Response::Error { code, message }) => {
-                if code == ErrorCode::BadRequest {
-                    if let Some(req) = self.fallback.take() {
-                        // Old server rejecting READ_STREAM2: downgrade to
-                        // the plain stream and keep iterating.
-                        return match self.client.send_stream_req(&req) {
-                            Ok(()) => Ok(()),
-                            Err(e) => {
-                                self.done = true;
-                                Err(e)
-                            }
-                        };
-                    }
-                }
-                self.done = true;
-                Err(ClientError::Server { code, message })
-            }
-            Ok(Response::Overloaded) => {
-                self.done = true;
-                Err(ClientError::Overloaded)
-            }
-            Ok(other) => {
-                self.done = true;
-                Err(unexpected("READ_STREAM", &other))
-            }
             Err(e) => {
                 self.done = true;
-                Err(ClientError::Proto(e))
+                Err(e)
             }
         }
     }
@@ -545,7 +506,7 @@ impl<C: Connection> Iterator for ReadStream<'_, C> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if let Some(m) = self.buffer.pop_front() {
+            if let Some(m) = self.buffer.next() {
                 self.received += 1;
                 return Some(Ok(m));
             }
@@ -1001,6 +962,10 @@ impl<T: Transport> RetryClient<T> {
         self.run_reset(|c| c.meta(container))
     }
 
+    /// A read collected to completion, with retry. The stream is retried
+    /// as a unit: if it breaks mid-flight the whole query is re-issued
+    /// from the start on a fresh connection (reads are idempotent — the
+    /// cost is repeated work, never duplicated or missing messages).
     pub fn read(&mut self, container: &str, topics: &[&str]) -> ClientResult<Vec<WireMessage>> {
         self.run_reset(|c| c.read(container, topics))
     }
@@ -1013,42 +978,6 @@ impl<T: Transport> RetryClient<T> {
         end: Time,
     ) -> ClientResult<Vec<WireMessage>> {
         self.run_reset(|c| c.read_time(container, topics, start, end))
-    }
-
-    /// A streamed read collected to completion, with retry. The stream is
-    /// retried as a unit: if it breaks mid-flight the whole query is
-    /// re-issued from the start on a fresh connection (reads are
-    /// idempotent — the cost is repeated work, never duplicated or
-    /// missing messages).
-    pub fn read_streamed(
-        &mut self,
-        container: &str,
-        topics: &[&str],
-    ) -> ClientResult<Vec<WireMessage>> {
-        self.run_reset(|c| {
-            let mut out = Vec::new();
-            for m in c.read_stream(container, topics)? {
-                out.push(m?);
-            }
-            Ok(out)
-        })
-    }
-
-    /// Time-ranged variant of [`RetryClient::read_streamed`].
-    pub fn read_streamed_time(
-        &mut self,
-        container: &str,
-        topics: &[&str],
-        start: Time,
-        end: Time,
-    ) -> ClientResult<Vec<WireMessage>> {
-        self.run_reset(|c| {
-            let mut out = Vec::new();
-            for m in c.read_stream_time(container, topics, start, end)? {
-                out.push(m?);
-            }
-            Ok(out)
-        })
     }
 
     /// A query retried as a unit: if the stream breaks mid-flight the
@@ -1155,7 +1084,10 @@ mod tests {
     /// What a scripted connection does for one request.
     #[derive(Clone)]
     enum Step {
+        /// The next frame of the answer, correctly correlated and indexed.
         Reply(Response),
+        /// A frame of the current answer carrying an explicit index.
+        At(u32, Response),
         /// Fail the recv with an I/O error (connection is then unusable).
         Break,
     }
@@ -1164,11 +1096,17 @@ mod tests {
         steps: Arc<Mutex<VecDeque<Step>>>,
         pending: bool,
         broken: bool,
+        /// Correlation id of the last request sent, echoed on replies.
+        corr: u32,
+        /// Index the next `Reply` frame carries.
+        frame: u32,
     }
 
     impl Connection for ScriptedConn {
-        fn send_frame(&mut self, _payload: &[u8]) -> std::io::Result<()> {
+        fn send_frame(&mut self, payload: &[u8]) -> std::io::Result<()> {
             self.pending = true;
+            self.corr = Header::split(payload).unwrap().0.corr;
+            self.frame = 0;
             Ok(())
         }
         // Accepted but unenforced: scripted failures come from the
@@ -1185,7 +1123,11 @@ mod tests {
                 return Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "dead conn"));
             }
             match self.steps.lock().unwrap().pop_front() {
-                Some(Step::Reply(resp)) => Ok(resp.encode()),
+                Some(Step::Reply(resp)) => {
+                    self.frame += 1;
+                    Ok(resp.encode_with(self.corr, self.frame - 1))
+                }
+                Some(Step::At(frame, resp)) => Ok(resp.encode_with(self.corr, frame)),
                 Some(Step::Break) | None => {
                     self.broken = true;
                     Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "scripted break"))
@@ -1213,7 +1155,13 @@ mod tests {
         type Conn = ScriptedConn;
         fn connect(&self) -> std::io::Result<ScriptedConn> {
             self.connects.fetch_add(1, Ordering::SeqCst);
-            Ok(ScriptedConn { steps: Arc::clone(&self.steps), pending: false, broken: false })
+            Ok(ScriptedConn {
+                steps: Arc::clone(&self.steps),
+                pending: false,
+                broken: false,
+                corr: 0,
+                frame: 0,
+            })
         }
     }
 
@@ -1376,44 +1324,51 @@ mod tests {
         assert_eq!(t.connects.load(Ordering::SeqCst), 0, "no connection was made");
     }
 
-    // ---------------------------------------------- compressed streaming
+    // ------------------------------------------------ stream receiver
 
-    #[test]
-    fn read_stream_decodes_lz_chunks() {
-        let mut ctx = simfs::IoCtx::new();
-        let msgs: Vec<WireMessage> = (0..40)
-            .map(|i| WireMessage { topic: "/imu".into(), time: Time::new(i, 0), data: vec![0; 64] })
-            .collect();
-        let t = ScriptedTransport::new(vec![
-            Step::Reply(crate::proto::compress_chunk(&msgs, &mut ctx)),
-            Step::Reply(Response::StreamEnd { messages: 40 }),
-        ]);
-        let mut c = ServeClient::new(t.connect().unwrap());
-        let got: Vec<WireMessage> =
-            c.read_stream("/c", &["/imu"]).unwrap().map(|r| r.unwrap()).collect();
-        assert_eq!(got, msgs);
+    fn msg(i: u32) -> WireMessage {
+        WireMessage { topic: "/imu".into(), time: Time::new(i, 0), data: vec![i as u8; 8] }
     }
 
     #[test]
-    fn read_stream_falls_back_on_old_server() {
-        let msgs =
-            vec![WireMessage { topic: "/imu".into(), time: Time::new(1, 0), data: vec![7; 8] }];
-        // An old server rejects READ_STREAM2 with BadRequest; the client
-        // must reissue the plain READ_STREAM and keep iterating.
+    fn stream_receiver_drops_duplicates_and_rejects_gaps() {
+        let chunk = |i| Response::StreamChunk(vec![msg(i)]);
+        // A duplicated frame is discarded: the answer is exact.
         let t = ScriptedTransport::new(vec![
-            server_err(ErrorCode::BadRequest),
-            Step::Reply(Response::StreamChunk(msgs.clone())),
-            Step::Reply(Response::StreamEnd { messages: 1 }),
+            Step::At(0, chunk(0)),
+            Step::At(1, chunk(1)),
+            Step::At(1, chunk(1)),
+            Step::At(2, Response::StreamEnd { messages: 2 }),
         ]);
         let mut c = ServeClient::new(t.connect().unwrap());
-        let got: Vec<WireMessage> =
-            c.read_stream("/c", &["/imu"]).unwrap().map(|r| r.unwrap()).collect();
-        assert_eq!(got, msgs);
+        assert_eq!(c.read("/c", &["/imu"]).unwrap(), vec![msg(0), msg(1)]);
 
-        // A BadRequest *after* the stream started is a real error, not a
-        // downgrade cue — it must surface, not trigger a blind retry.
+        // A frame ahead of the next index (one was lost or reordered) is a
+        // typed, transient error — never a shorter stream.
         let t = ScriptedTransport::new(vec![
-            Step::Reply(Response::StreamChunk(msgs.clone())),
+            Step::At(0, chunk(0)),
+            Step::At(2, chunk(2)),
+            Step::At(1, chunk(1)),
+        ]);
+        let mut c = ServeClient::new(t.connect().unwrap());
+        let got: Vec<_> = c.read_stream("/c", &["/imu"]).unwrap().collect();
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].as_ref().unwrap(), &msg(0));
+        assert!(matches!(&got[1], Err(e @ ClientError::Proto(_)) if e.is_transient()));
+
+        // A StreamEnd whose count disagrees with what arrived is rejected.
+        let t = ScriptedTransport::new(vec![
+            Step::Reply(chunk(0)),
+            Step::Reply(Response::StreamEnd { messages: 2 }),
+        ]);
+        let mut c = ServeClient::new(t.connect().unwrap());
+        assert!(matches!(c.read("/c", &["/imu"]), Err(ClientError::Proto(_))));
+    }
+
+    #[test]
+    fn mid_stream_error_surfaces() {
+        let t = ScriptedTransport::new(vec![
+            Step::Reply(Response::StreamChunk(vec![msg(1)])),
             server_err(ErrorCode::BadRequest),
         ]);
         let mut c = ServeClient::new(t.connect().unwrap());
@@ -1421,42 +1376,6 @@ mod tests {
         assert_eq!(results.len(), 2);
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(ClientError::Server { code: ErrorCode::BadRequest, .. })));
-    }
-
-    #[test]
-    fn stream2_matches_buffered_read_end_to_end() {
-        use crate::server::{Server, ServerConfig};
-        use crate::transport::MemTransport;
-        use ros_msgs::sensor_msgs::Imu;
-
-        let fs = Arc::new(simfs::MemStorage::new());
-        let mut ctx = simfs::IoCtx::new();
-        let mut rec = bora::BoraRecorder::create(
-            Arc::clone(&fs),
-            "/c",
-            bora::RecorderOptions::default(),
-            &mut ctx,
-        )
-        .unwrap();
-        for i in 0..200u32 {
-            let mut imu = Imu::default();
-            imu.header.seq = i;
-            rec.record_ros_message("/imu", Time::new(100 + i, 0), &imu, &mut ctx).unwrap();
-        }
-        rec.close(&mut ctx).unwrap();
-
-        let server = Server::start(fs, ServerConfig::default());
-        let t = MemTransport::new(Arc::clone(&server));
-        let mut c = ServeClient::new(t.connect().unwrap());
-        let buffered = c.read("/c", &["/imu"]).unwrap();
-        let streamed: Vec<WireMessage> =
-            c.read_stream("/c", &["/imu"]).unwrap().map(|r| r.unwrap()).collect();
-        assert_eq!(streamed.len(), 200);
-        assert_eq!(streamed, buffered, "compressed stream must be byte-identical");
-        // The server really did ship LZ chunks to this READ_STREAM2 peer.
-        let report = c.metrics().unwrap();
-        assert!(report.counter("serve.stream_chunk_lz") > 0, "no LZ chunk was sent");
-        server.shutdown();
     }
 
     // -------------------------------------------- set_timeout default

@@ -12,15 +12,18 @@
 //!   of workers — when the queue fills, requests are shed with an
 //!   explicit [`proto::Response::Overloaded`] instead of queuing without
 //!   bound or blocking the transport;
-//! * a hand-rolled length-prefixed binary protocol ([`proto`]) carries
-//!   `OPEN`/`TOPICS`/`META`/`READ`/`STAT`/`STATS`/`SHUTDOWN` over either
+//! * a hand-rolled length-prefixed binary protocol ([`proto`]: one fixed
+//!   request header, one streamed `READ`) carries the data ops
+//!   (`OPEN`/`TOPICS`/`META`/`READ`/`QUERY`/`STAT`/`APPEND`/`SEAL`) and
+//!   the control plane (`METRICS`/`PING`/`TRACE`/`SHUTDOWN`) over either
 //!   in-process channels ([`transport::MemTransport`], deterministic, for
 //!   tests and benches) or real TCP ([`transport::TcpTransport`] and the
 //!   `bora-serve` binary);
 //! * per-op latency/count metrics ([`metrics`], backed by the shared
 //!   `bora-obs` histograms and including the queue-wait vs service-time
-//!   split) are served from the control plane (`STATS` skips the data
-//!   queue), so an overloaded server can still be observed; with
+//!   split) are served from the control plane (`METRICS` skips the data
+//!   queue), so an overloaded server can still be observed;
+//!   [`StatsSnapshot`] is a projection of that scrape. With
 //!   `BORA_TRACE=1` the `TRACE` op additionally drains the process's
 //!   span buffers as a Chrome trace JSON document.
 //!
@@ -62,10 +65,10 @@ pub use client::{
     ClientError, ClientResult, IngestBatching, IngestClient, QueryReply, ReadStream, RetryBudget,
     RetryBudgetConfig, RetryClient, RetryPolicy, ServeClient,
 };
+pub use metrics::{OpSummary, StatsSnapshot};
 pub use proto::{
-    compress_chunk, decompress_chunk, peel_corr, wrap_corr, ContainerStat, ErrorCode,
-    MetricsReport, OpSummary, PingInfo, ProtoError, Request, Response, SlowOpEntry, StatsSnapshot,
-    WireMessage, CORR_LEN, DEADLINE_LEN, METRICS_REPORT_VERSION, OP_CORR, TRACE_CTX_LEN,
+    ContainerStat, ErrorCode, Header, MetricsReport, PingInfo, ProtoError, Request, Response,
+    SlowOpEntry, WireMessage, METRICS_REPORT_VERSION,
 };
 pub use server::{Server, ServerConfig};
 pub use transport::{

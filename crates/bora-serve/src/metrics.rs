@@ -1,5 +1,4 @@
-//! Per-operation service metrics, exposed through the `STATS` and
-//! `METRICS` ops.
+//! Per-operation service metrics, exposed through the `METRICS` op.
 //!
 //! Latencies are recorded twice per request: **wall-clock** nanoseconds
 //! (submit to response, what a real client experiences, including queue
@@ -14,11 +13,11 @@
 //! Every number lives in a private [`bora_obs::Registry`] (private so
 //! concurrent servers in one process do not mix their numbers), under
 //! the names the telemetry plane scrapes (`serve.op.<op>.wall_ns`,
-//! `serve.op.<op>.virt_ns`, `serve.queue_wait_ns`, `serve.shed`).
-//! `STATS` ([`Metrics::snapshot_into`]) and `METRICS`
-//! ([`Metrics::registry_snapshot`]) both read **the same handles** — the
-//! two views are different projections of one atomic store and cannot
-//! drift, which `STATS`' earlier private recorders could (and did).
+//! `serve.op.<op>.virt_ns`, `serve.queue_wait_ns`, `serve.shed`, and the
+//! handle-cache and queue numbers under `serve.cache.*` and
+//! `serve.queue.*`). [`StatsSnapshot`] is not a second store: it is
+//! rebuilt from a `METRICS` scrape by [`StatsSnapshot::from_report`], so
+//! the summary and the scrape cannot drift.
 //!
 //! ## SLO windows
 //!
@@ -27,13 +26,16 @@
 //! registered, so "is read's p99 over target *right now*" is answerable
 //! without resetting anything.
 
-use bora_obs::{Counter, Histogram, MetricsSnapshot, Registry, SloStatus, SloTarget, SloTracker};
+use bora_obs::{
+    Counter, Gauge, Histogram, MetricsSnapshot, Registry, SloStatus, SloTarget, SloTracker,
+};
 
-use crate::proto::{OpSummary, StatsSnapshot};
+use crate::cache::CacheStats;
+use crate::proto::MetricsReport;
 
-/// The metric op kinds, in the order `STATS` reports them.
-pub const OP_NAMES: [&str; 9] =
-    ["append", "meta", "open", "query", "read", "read_stream", "seal", "stat", "topics"];
+/// The metric op kinds, in the order [`StatsSnapshot`] reports them.
+pub const OP_NAMES: [&str; 8] =
+    ["append", "meta", "open", "query", "read_stream", "seal", "stat", "topics"];
 
 fn op_index(name: &str) -> Option<usize> {
     OP_NAMES.iter().position(|n| *n == name)
@@ -55,16 +57,27 @@ struct OpHandles {
     virt: Histogram,
 }
 
-/// All service metrics. Everything is atomic; `stats`/`metrics`/
-/// `shutdown`/`trace`/`ping` ops are control-plane and intentionally
-/// unrecorded.
+/// All service metrics. Everything is atomic; `metrics`/`shutdown`/
+/// `trace`/`ping` ops are control-plane and intentionally unrecorded.
 pub struct Metrics {
     registry: Registry,
     // Resolved once: recording is handle-hot, never a name lookup.
-    ops: [OpHandles; 9],
+    ops: [OpHandles; OP_NAMES.len()],
     queue_wait: Histogram,
     shed: Counter,
+    cache: CacheHandles,
+    queue_depth: Gauge,
+    queue_capacity: Gauge,
     slo: SloTracker,
+}
+
+/// Handle-cache numbers, published at scrape time.
+struct CacheHandles {
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
+    len: Gauge,
+    capacity: Gauge,
 }
 
 impl Default for Metrics {
@@ -82,7 +95,23 @@ impl Metrics {
         });
         let queue_wait = registry.histogram("serve.queue_wait_ns");
         let shed = registry.counter("serve.shed");
-        Metrics { registry, ops, queue_wait, shed, slo: SloTracker::per_second_minute() }
+        let cache = CacheHandles {
+            hits: registry.counter("serve.cache.hits"),
+            misses: registry.counter("serve.cache.misses"),
+            evictions: registry.counter("serve.cache.evictions"),
+            len: registry.gauge("serve.cache.len"),
+            capacity: registry.gauge("serve.cache.capacity"),
+        };
+        Metrics {
+            ops,
+            queue_wait,
+            shed,
+            cache,
+            queue_depth: registry.gauge("serve.queue.depth"),
+            queue_capacity: registry.gauge("serve.queue.capacity"),
+            registry,
+            slo: SloTracker::per_second_minute(),
+        }
     }
 
     /// Record one completed request of kind `op_name`. Unknown names are a
@@ -110,8 +139,17 @@ impl Metrics {
         self.shed.inc();
     }
 
-    pub fn shed(&self) -> u64 {
-        self.shed.get()
+    /// Publish the handle cache's counters and the queue's occupancy
+    /// into the registry, so one scrape carries everything a
+    /// [`StatsSnapshot`] reports.
+    pub fn publish(&self, cache: CacheStats, queue_depth: usize, queue_capacity: usize) {
+        self.cache.hits.raise_to(cache.hits);
+        self.cache.misses.raise_to(cache.misses);
+        self.cache.evictions.raise_to(cache.evictions);
+        self.cache.len.set(i64::from(cache.len));
+        self.cache.capacity.set(i64::from(cache.capacity));
+        self.queue_depth.set(queue_depth as i64);
+        self.queue_capacity.set(queue_capacity as i64);
     }
 
     /// Set (or update) the latency objective for one op; its wall
@@ -128,50 +166,111 @@ impl Metrics {
     }
 
     /// Point-in-time copy of the backing registry — the `METRICS`
-    /// scrape's payload. Same handles `STATS` reads; see module docs.
+    /// scrape's payload.
     ///
     /// The per-op recorders live in this server's private registry, but
-    /// subsystems the server *uses* (buffer pool `pool.*`, stream
-    /// compression `serve.stream_chunk_lz`, shed/evict counters) record
-    /// into the process-wide `bora_obs` registry — one pool, one set of
-    /// numbers. The scrape is the union of both; on a (by-convention
-    /// impossible) name collision, the private registry wins. Multiple
-    /// in-process servers therefore report the same process-wide
-    /// subsystem counters — fine in production (one server per process)
-    /// and documented here for in-process test fleets.
+    /// subsystems the server *uses* (buffer pool `pool.*`, shed/evict
+    /// counters) record into the process-wide `bora_obs` registry — one
+    /// pool, one set of numbers. The scrape is the union of both; on a
+    /// (by-convention impossible) name collision, the private registry
+    /// wins. Multiple in-process servers therefore report the same
+    /// process-wide subsystem counters — fine in production (one server
+    /// per process) and documented here for in-process test fleets.
     pub fn registry_snapshot(&self) -> MetricsSnapshot {
         let global = bora_obs::snapshot();
         let private = self.registry.snapshot();
         merge_snapshots(global, private)
     }
+}
 
-    /// Assemble the wire-level snapshot. Queue and cache numbers are the
-    /// server's to fill in; this owns only the op recorders, queue-wait
-    /// histogram, and shed count.
-    pub fn snapshot_into(&self, mut base: StatsSnapshot) -> StatsSnapshot {
-        base.ops = OP_NAMES
+/// Latency summary for one op kind inside a [`StatsSnapshot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct OpSummary {
+    pub count: u64,
+    /// Wall-clock nanoseconds, measured submit → response.
+    pub wall_min_ns: u64,
+    pub wall_mean_ns: u64,
+    pub wall_p99_ns: u64,
+    /// Virtual nanoseconds charged by the storage cost model.
+    pub virt_mean_ns: u64,
+}
+
+/// Server-wide summary: a projection of one `METRICS` scrape.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct StatsSnapshot {
+    /// Summaries keyed by op name, in [`OP_NAMES`] order.
+    pub ops: Vec<(String, OpSummary)>,
+    /// Requests rejected with `Response::Overloaded`.
+    pub shed: u64,
+    /// Requests sitting in the queue right now.
+    pub queue_depth: u32,
+    /// Bound of the request queue.
+    pub queue_capacity: u32,
+    /// Mean time requests spent parked in the queue before a worker took
+    /// them (the queue-wait share of `wall_mean_ns`).
+    pub queue_wait_mean_ns: u64,
+    pub queue_wait_p99_ns: u64,
+    pub cache_hits: u64,
+    pub cache_misses: u64,
+    pub cache_evictions: u64,
+    pub cache_len: u32,
+    pub cache_capacity: u32,
+}
+
+impl StatsSnapshot {
+    /// Rebuild the summary from a scrape. Every field reads the same
+    /// histogram, counter or gauge the scrape carries, so the two views
+    /// agree exactly; names absent from the report read as zero.
+    pub fn from_report(report: &MetricsReport) -> StatsSnapshot {
+        let hist = |name: &str| report.hist(name).copied().unwrap_or_default();
+        let gauge = |name: &str| report.gauge(name).unwrap_or(0).clamp(0, u32::MAX as i64) as u32;
+        let ops = OP_NAMES
             .iter()
-            .zip(self.ops.iter())
-            .map(|(name, rec)| {
-                let wall = rec.wall.snapshot();
-                let virt = rec.virt.snapshot();
-                (
-                    name.to_string(),
-                    OpSummary {
-                        count: wall.count,
-                        wall_min_ns: wall.min_or_zero(),
-                        wall_mean_ns: wall.mean(),
-                        wall_p99_ns: wall.percentile(0.99),
-                        virt_mean_ns: virt.mean(),
-                    },
-                )
+            .map(|name| {
+                let wall = hist(&wall_metric(name));
+                let virt = hist(&virt_metric(name));
+                let op = OpSummary {
+                    count: wall.count,
+                    wall_min_ns: wall.min_or_zero(),
+                    wall_mean_ns: wall.mean(),
+                    wall_p99_ns: wall.percentile(0.99),
+                    virt_mean_ns: virt.mean(),
+                };
+                (name.to_string(), op)
             })
             .collect();
-        let qw = self.queue_wait.snapshot();
-        base.queue_wait_mean_ns = qw.mean();
-        base.queue_wait_p99_ns = qw.percentile(0.99);
-        base.shed = self.shed();
-        base
+        let qw = hist("serve.queue_wait_ns");
+        StatsSnapshot {
+            ops,
+            shed: report.counter("serve.shed"),
+            queue_depth: gauge("serve.queue.depth"),
+            queue_capacity: gauge("serve.queue.capacity"),
+            queue_wait_mean_ns: qw.mean(),
+            queue_wait_p99_ns: qw.percentile(0.99),
+            cache_hits: report.counter("serve.cache.hits"),
+            cache_misses: report.counter("serve.cache.misses"),
+            cache_evictions: report.counter("serve.cache.evictions"),
+            cache_len: gauge("serve.cache.len"),
+            cache_capacity: gauge("serve.cache.capacity"),
+        }
+    }
+
+    /// Total completed requests across all ops.
+    pub fn total_requests(&self) -> u64 {
+        self.ops.iter().map(|(_, s)| s.count).sum()
+    }
+
+    pub fn cache_hit_rate(&self) -> f64 {
+        let total = self.cache_hits + self.cache_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.cache_hits as f64 / total as f64
+        }
+    }
+
+    pub fn op(&self, name: &str) -> Option<&OpSummary> {
+        self.ops.iter().find(|(n, _)| n == name).map(|(_, s)| s)
     }
 }
 
@@ -195,69 +294,90 @@ fn merge_snapshots(base: MetricsSnapshot, wins: MetricsSnapshot) -> MetricsSnaps
 mod tests {
     use super::*;
 
+    fn stats(m: &Metrics) -> StatsSnapshot {
+        let snap = m.registry_snapshot();
+        StatsSnapshot::from_report(&MetricsReport {
+            counters: snap.counters,
+            gauges: snap.gauges,
+            hists: snap.hists,
+            ..MetricsReport::default()
+        })
+    }
+
     #[test]
     fn summaries_aggregate() {
         let m = Metrics::new();
-        m.record("read", 100, 10);
-        m.record("read", 300, 30);
+        m.record("read_stream", 100, 10);
+        m.record("read_stream", 300, 30);
         m.record("open", 1_000, 0);
         m.record_shed();
 
-        let snap = m.snapshot_into(StatsSnapshot::default());
+        let snap = stats(&m);
         assert_eq!(snap.shed, 1);
         assert_eq!(snap.total_requests(), 3);
-        let read = snap.op("read").unwrap();
+        let read = snap.op("read_stream").unwrap();
         assert_eq!(read.count, 2);
         assert_eq!(read.wall_min_ns, 100);
         assert_eq!(read.wall_mean_ns, 200);
         assert_eq!(read.virt_mean_ns, 20);
-        assert!(snap.op("stats").is_none());
+        assert!(snap.op("metrics").is_none());
+        assert_eq!(snap.ops.len(), OP_NAMES.len(), "every op reported, in table order");
     }
 
     #[test]
     fn stats_and_registry_cannot_drift() {
-        // The STATS-vs-registry parity the drift fix guarantees: both
-        // views project the same atomic store, so every STATS number must
+        // The snapshot is a projection of the scrape: every number must
         // equal its registry counterpart exactly.
         let m = Metrics::new();
         for i in 0..50u64 {
-            m.record("read", i * 1_000, i);
+            m.record("read_stream", i * 1_000, i);
             m.record("append", 77, 7);
         }
         m.record_queue_wait(5_000);
         m.record_shed();
         m.record_shed();
+        m.publish(CacheStats { hits: 9, misses: 2, evictions: 1, len: 3, capacity: 8 }, 5, 64);
 
-        let stats = m.snapshot_into(StatsSnapshot::default());
+        let stats = stats(&m);
         let reg = m.registry_snapshot();
         let reg_hist =
             |name: &str| reg.hists.iter().find(|(n, _)| n == name).map(|(_, h)| *h).unwrap();
         for (name, op) in &stats.ops {
             let wall = reg_hist(&wall_metric(name));
             let virt = reg_hist(&virt_metric(name));
-            debug_assert_eq!(op.count, wall.count, "{name}: count drift");
-            debug_assert_eq!(op.wall_min_ns, wall.min_or_zero(), "{name}: min drift");
-            debug_assert_eq!(op.wall_mean_ns, wall.mean(), "{name}: mean drift");
-            debug_assert_eq!(op.wall_p99_ns, wall.percentile(0.99), "{name}: p99 drift");
-            debug_assert_eq!(op.virt_mean_ns, virt.mean(), "{name}: virt drift");
+            assert_eq!(op.count, wall.count, "{name}: count drift");
+            assert_eq!(op.wall_min_ns, wall.min_or_zero(), "{name}: min drift");
+            assert_eq!(op.wall_mean_ns, wall.mean(), "{name}: mean drift");
+            assert_eq!(op.wall_p99_ns, wall.percentile(0.99), "{name}: p99 drift");
+            assert_eq!(op.virt_mean_ns, virt.mean(), "{name}: virt drift");
         }
         let qw = reg_hist("serve.queue_wait_ns");
-        debug_assert_eq!(stats.queue_wait_mean_ns, qw.mean());
-        debug_assert_eq!(stats.queue_wait_p99_ns, qw.percentile(0.99));
-        let reg_shed = reg.counters.iter().find(|(n, _)| n == "serve.shed").unwrap().1;
-        debug_assert_eq!(stats.shed, reg_shed);
+        assert_eq!(stats.queue_wait_mean_ns, qw.mean());
+        assert_eq!(stats.queue_wait_p99_ns, qw.percentile(0.99));
         assert_eq!(stats.shed, 2);
+        assert_eq!(
+            (stats.cache_hits, stats.cache_misses, stats.cache_evictions),
+            (9, 2, 1),
+            "cache counters travel in the scrape"
+        );
+        assert_eq!((stats.cache_len, stats.cache_capacity), (3, 8));
+        assert_eq!((stats.queue_depth, stats.queue_capacity), (5, 64));
+
+        // Publishing is monotone for counters: a stale, smaller total
+        // (a racing scrape) never moves them backwards.
+        m.publish(CacheStats { hits: 4, misses: 1, evictions: 0, len: 1, capacity: 8 }, 0, 64);
+        assert_eq!(self::stats(&m).cache_hits, 9);
     }
 
     #[test]
     fn slo_targets_feed_from_recorded_ops() {
         let m = Metrics::new();
-        m.set_slo_target("read", SloTarget::p99(1_000));
+        m.set_slo_target("read_stream", SloTarget::p99(1_000));
         for _ in 0..10 {
-            m.record("read", 1_000_000, 0); // 1 ms ≫ 1 µs target
+            m.record("read_stream", 1_000_000, 0); // 1 ms ≫ 1 µs target
         }
         let statuses = m.slo_statuses();
-        let read = statuses.iter().find(|s| s.name == "read").unwrap();
+        let read = statuses.iter().find(|s| s.name == "read_stream").unwrap();
         assert!(read.breached);
         assert_eq!(read.samples, 10);
         // Ops without a target are not tracked.
@@ -267,12 +387,12 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "unknown op name"))]
     fn unknown_op_fails_in_debug_builds() {
-        // Control-plane names ("stats", "trace") and typos must never be
+        // Control-plane names ("metrics", "trace") and typos must never be
         // recorded; in release the sample is dropped silently.
         let m = Metrics::new();
-        m.record("stats", 5, 5);
+        m.record("metrics", 5, 5);
         // Only reached in release builds: the sample was dropped silently.
-        assert_eq!(m.snapshot_into(StatsSnapshot::default()).total_requests(), 0);
+        assert_eq!(stats(&m).total_requests(), 0);
     }
 
     #[test]
@@ -280,7 +400,7 @@ mod tests {
         let m = Metrics::new();
         m.record_queue_wait(1_000);
         m.record_queue_wait(3_000);
-        let snap = m.snapshot_into(StatsSnapshot::default());
+        let snap = stats(&m);
         assert_eq!(snap.queue_wait_mean_ns, 2_000);
         assert_eq!(snap.queue_wait_p99_ns, 4_095); // ceiling of bucket ilog2(3000)=11
     }
@@ -289,11 +409,11 @@ mod tests {
     fn p99_lands_in_tail_bucket() {
         let m = Metrics::new();
         for _ in 0..99 {
-            m.record("read", 1_000, 0); // bucket ilog2(1000)=9 → ceiling 1023
+            m.record("read_stream", 1_000, 0); // bucket ilog2(1000)=9 → ceiling 1023
         }
-        m.record("read", 1 << 20, 0);
-        let snap = m.snapshot_into(StatsSnapshot::default());
-        let p99 = snap.op("read").unwrap().wall_p99_ns;
+        m.record("read_stream", 1 << 20, 0);
+        let snap = stats(&m);
+        let p99 = snap.op("read_stream").unwrap().wall_p99_ns;
         // Rank 99 of 100 falls in the 1µs bucket; the 1ms outlier is p100.
         assert_eq!(p99, 1023);
         // All-equal distribution: p99 == the one bucket's ceiling.
@@ -301,7 +421,7 @@ mod tests {
         for _ in 0..10 {
             m2.record("open", 7, 0);
         }
-        assert_eq!(m2.snapshot_into(StatsSnapshot::default()).op("open").unwrap().wall_p99_ns, 7);
+        assert_eq!(stats(&m2).op("open").unwrap().wall_p99_ns, 7);
     }
 
     #[test]
@@ -309,7 +429,7 @@ mod tests {
         let m = Metrics::new();
         m.record("meta", 0, 0);
         m.record("meta", u64::MAX, u64::MAX);
-        let s = m.snapshot_into(StatsSnapshot::default());
+        let s = stats(&m);
         assert_eq!(s.op("meta").unwrap().count, 2);
         assert_eq!(s.op("meta").unwrap().wall_p99_ns, u64::MAX);
     }

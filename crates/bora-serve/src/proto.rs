@@ -1,31 +1,42 @@
 //! The bora-serve wire protocol: length-prefixed binary frames.
 //!
 //! Every message travels as one frame: a little-endian `u32` payload
-//! length followed by the payload. The first payload byte is the opcode;
-//! the rest is the operation's fields in fixed little-endian layouts
-//! (strings are `u16` length + UTF-8, lists are `u16` count + elements).
-//! There is no versioning handshake — both ends of a deployment ship
-//! together — but unknown opcodes and truncated payloads decode to
+//! length followed by the payload. Operation fields use fixed
+//! little-endian layouts (strings are `u16` length + UTF-8, lists are a
+//! count + elements). Both ends of a deployment ship together, so there
+//! is no version handshake and no fallback for older peers; unknown
+//! opcodes, unknown header flags and truncated payloads decode to
 //! [`ProtoError`] rather than panicking, so a malformed client cannot
-//! take a worker down.
+//! take a worker down, and every count is checked against the bytes
+//! that remain before anything is allocated for it.
 //!
-//! The protocol is request/response with one extension: a `READ_STREAM`
-//! request is answered by a *sequence* of frames — zero or more
-//! [`Response::StreamChunk`]s as the server's k-way merge yields
-//! messages, closed by a [`Response::StreamEnd`] (or a terminal
-//! [`Response::Error`]). Everything else stays one-request/one-response,
-//! and one outstanding request per connection keeps the backpressure
-//! story honest: stream frames are produced no faster than the transport
-//! accepts them, and a client that wants parallelism opens more
-//! connections, which the server's bounded queue then sheds explicitly
-//! via [`Response::Overloaded`].
+//! A request payload is a [`Header`] followed by the request body
+//! (opcode + fields):
+//!
+//! ```text
+//! flags u8 | corr u32 | [deadline_ns u64 if bit0] | [trace_id u64, parent_span u64 if bit1] | body
+//! ```
+//!
+//! Bit 2 is the trace context's sampled bit (valid only with bit 1).
+//! Every response frame is `corr u32 | frame u32 | body`: the request's
+//! correlation id and the frame's index within its answer. The client
+//! discards frames of an earlier request or an already-seen index, and
+//! treats a skipped index as a protocol error — so a duplicated,
+//! dropped or reordered frame can never silently change an answer.
+//!
+//! The protocol is request/response with one extension: `READ` and
+//! `QUERY` are answered by a *sequence* of frames. A read yields zero or
+//! more [`Response::StreamChunk`]s as the server's k-way merge produces
+//! messages, closed by [`Response::StreamEnd`] (or a terminal
+//! [`Response::Error`]). One outstanding request per connection keeps
+//! the backpressure story honest: stream frames are produced no faster
+//! than the transport accepts them, and a client that wants parallelism
+//! opens more connections, which the server's bounded queue then sheds
+//! explicitly via [`Response::Overloaded`].
 
-use bora::block::{decode_frame, encode_frame};
-use bora::BlockCodec;
 use bora_obs::{HistSummary, TraceContext, BUCKETS};
 use ros_msgs::Time;
 use rosbag::MessageRecord;
-use simfs::IoCtx;
 
 /// Frame length prefix size (little-endian u32).
 pub const FRAME_HEADER_LEN: usize = 4;
@@ -34,143 +45,28 @@ pub const FRAME_HEADER_LEN: usize = 4;
 /// larger so a corrupt length prefix cannot trigger a huge allocation.
 pub const MAX_FRAME_LEN: u32 = 256 * 1024 * 1024;
 
+/// Bytes in front of every response body: `corr u32 | frame u32`.
+pub const RESPONSE_HEADER_LEN: usize = 8;
+
 // Request opcodes.
 const OP_OPEN: u8 = 0x01;
 const OP_TOPICS: u8 = 0x02;
 const OP_META: u8 = 0x03;
 const OP_READ: u8 = 0x04;
 const OP_STAT: u8 = 0x05;
-const OP_STATS: u8 = 0x06;
 const OP_SHUTDOWN: u8 = 0x07;
 const OP_TRACE: u8 = 0x08;
-const OP_READ_STREAM: u8 = 0x09;
 const OP_PING: u8 = 0x0A;
 const OP_APPEND: u8 = 0x0B;
 const OP_SEAL: u8 = 0x0C;
 const OP_METRICS: u8 = 0x0D;
-
-/// Optional trace-context prefix on a request payload: a client that is
-/// tracing wraps the inner request as
-/// `[0x0F, trace_id u64, parent_span u64, flags u8, inner payload…]`
-/// (flags bit 0 = sampled). Untraced clients send the bare request, so
-/// the untraced encoding is byte-identical to the pre-trace protocol —
-/// old clients talk to new servers and vice versa. An old server sees
-/// `0x0F` as an unknown opcode and answers with a clean [`ProtoError`]
-/// error, which is why traced clients only prepend the header when a
-/// context is actually present.
-const OP_TRACE_CTX: u8 = 0x0F;
-
-/// Bytes a trace-context prefix adds to a request payload.
-pub const TRACE_CTX_LEN: usize = 1 + 8 + 8 + 1;
-
-/// Optional deadline prefix on a request payload: a client with a
-/// per-request budget wraps the (possibly trace-wrapped) payload as
-/// `[0x10, budget_ns u64, inner payload…]`. The budget is *relative*
-/// nanoseconds remaining at send time, not an absolute timestamp, so
-/// no clock synchronisation is assumed — the server measures its own
-/// queue wait against it and sheds work whose budget is already spent.
-/// Like the trace prefix, the header is only prepended when a deadline
-/// is actually set, so deadline-free traffic stays byte-identical to
-/// the pre-deadline protocol.
-const OP_DEADLINE: u8 = 0x10;
-
-/// Bytes a deadline prefix adds to a request payload.
-pub const DEADLINE_LEN: usize = 1 + 8;
-
-/// Correlation prefix, outermost on both directions of the wire:
-/// `[0x11, seq u32, inner payload…]`. The client stamps every request
-/// with a per-connection sequence number and the server echoes it on
-/// every frame it sends in answer (all chunks of a stream carry the
-/// request's seq). This is what lets a client *reject* a stale frame —
-/// a duplicated or reordered response surfacing after its request was
-/// lost would otherwise be read as the answer to the *next* request,
-/// and an ack credited to an append the server never saw. Uncorrelated
-/// requests get uncorrelated responses, so plain peers interoperate
-/// unchanged.
-pub const OP_CORR: u8 = 0x11;
-
-/// Bytes a correlation prefix adds to a payload.
-pub const CORR_LEN: usize = 1 + 4;
-
-/// `READ_STREAM2`: identical fields to `READ_STREAM`, but the request
-/// opcode doubles as a capability bit — a client that sends it declares
-/// it can decode [`Response::StreamChunkLz`] frames, so the server is
-/// free to ship each chunk LZ-compressed. An old server answers the
-/// unknown opcode with a clean `BadRequest` error, which is the client's
-/// cue to fall back to plain `READ_STREAM` (see `ServeClient`).
-const OP_READ_STREAM2: u8 = 0x12;
-
-/// `QUERY`: execute a `bora-query` statement against a container and
-/// stream the result back. Answered by one [`Response::QuerySchema`]
-/// (column names), zero or more [`Response::QueryChunk`]s (row blobs,
-/// `bora_query::wire` encoding), and a terminal [`Response::QueryEnd`]
-/// carrying the row total and — for `EXPLAIN` / `EXPLAIN ANALYZE` — the
-/// rendered plan. A malformed statement answers with
-/// [`ErrorCode::BadQuery`] and the connection stays usable.
 const OP_QUERY: u8 = 0x13;
-
-/// Wrap `inner` in a correlation prefix carrying `seq`.
-pub fn wrap_corr(seq: u32, inner: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(CORR_LEN + inner.len());
-    buf.push(OP_CORR);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(inner);
-    buf
-}
-
-/// Split a payload into its correlation seq (if prefixed) and the inner
-/// bytes. Payloads without the prefix — plain peers, pre-correlation
-/// traffic — come back as `(None, payload)` untouched.
-pub fn peel_corr(payload: &[u8]) -> (Option<u32>, &[u8]) {
-    if payload.len() >= CORR_LEN && payload[0] == OP_CORR {
-        let seq = u32::from_le_bytes(payload[1..CORR_LEN].try_into().unwrap());
-        (Some(seq), &payload[CORR_LEN..])
-    } else {
-        (None, payload)
-    }
-}
-
-/// Build a [`Response::StreamChunkLz`] from a message batch: the plain
-/// chunk body is wrapped in one LZ `bora::block` frame. Frames that do
-/// not shrink are stored raw inside the frame (the codec's built-in
-/// fallback), so this never inflates a batch beyond the 13-byte frame
-/// header. Compression cost is charged to `ctx` like any other
-/// storage-layer compression.
-pub fn compress_chunk(messages: &[WireMessage], ctx: &mut IoCtx) -> Response {
-    let mut w = Writer { buf: Vec::new() };
-    w.msgs(messages);
-    Response::StreamChunkLz(encode_frame(BlockCodec::Lzss, &w.buf, ctx))
-}
-
-/// Decode a [`Response::StreamChunkLz`] frame back into its message
-/// batch. The frame's CRC32C is verified over the stored bytes before
-/// any decompression, so a corrupted chunk surfaces as a [`ProtoError`],
-/// never as silently wrong messages.
-pub fn decompress_chunk(frame: &[u8]) -> ProtoResult<Vec<WireMessage>> {
-    // Client-side wall-clock work: the virtual-cost model meters the
-    // server, so the charge sink here is a throwaway.
-    let mut ctx = IoCtx::new();
-    let (body, used) = decode_frame(frame, "stream-chunk", &mut ctx)
-        .map_err(|e| ProtoError(format!("bad compressed chunk: {e}")))?;
-    if used != frame.len() {
-        return Err(ProtoError(format!(
-            "{} trailing bytes after compressed chunk frame",
-            frame.len() - used
-        )));
-    }
-    let mut r = Reader::new(&body);
-    let messages = r.msgs()?;
-    r.finish()?;
-    Ok(messages)
-}
 
 // Response opcodes (request opcode | 0x80, errors in 0xE0+).
 const OP_OK_OPEN: u8 = 0x81;
 const OP_OK_TOPICS: u8 = 0x82;
 const OP_OK_META: u8 = 0x83;
-const OP_OK_READ: u8 = 0x84;
 const OP_OK_STAT: u8 = 0x85;
-const OP_OK_STATS: u8 = 0x86;
 const OP_OK_SHUTDOWN: u8 = 0x87;
 const OP_OK_TRACE: u8 = 0x88;
 const OP_OK_STREAM_CHUNK: u8 = 0x89;
@@ -179,19 +75,104 @@ const OP_OK_PONG: u8 = 0x8B;
 const OP_OK_APPENDED: u8 = 0x8C;
 const OP_OK_SEALED: u8 = 0x8D;
 const OP_OK_METRICS: u8 = 0x8E;
-/// A `READ_STREAM2` chunk: one `bora::block` frame (codec tag,
-/// uncompressed length, physical length, CRC32C) whose logical bytes are
-/// the plain `StreamChunk` body. Reusing the storage-layer frame means
-/// wire chunks inherit its per-frame raw fallback (incompressible
-/// batches cost 13 bytes of header, not a blow-up) and its checksum —
-/// a bit-flipped chunk decodes to a typed error, never to garbage
-/// messages.
-const OP_OK_STREAM_CHUNK_LZ: u8 = 0x8F;
 const OP_OK_QUERY_SCHEMA: u8 = 0x93;
 const OP_OK_QUERY_CHUNK: u8 = 0x94;
 const OP_OK_QUERY_END: u8 = 0x95;
 const OP_ERROR: u8 = 0xE0;
 const OP_OVERLOADED: u8 = 0xEE;
+
+// Request header flags.
+const FLAG_DEADLINE: u8 = 1 << 0;
+const FLAG_TRACE: u8 = 1 << 1;
+const FLAG_SAMPLED: u8 = 1 << 2;
+const KNOWN_FLAGS: u8 = FLAG_DEADLINE | FLAG_TRACE | FLAG_SAMPLED;
+
+// Minimum encoded sizes, used to bound pre-allocation by input length.
+const MIN_STR: usize = 2;
+const MIN_MSG: usize = MIN_STR + 8 + 4;
+const MIN_COUNTER: usize = MIN_STR + 8;
+const MIN_HIST: usize = MIN_STR + 3 * 8 + 1;
+const MIN_SLOW_OP: usize = 8 + 2 * MIN_STR + 2 * 8 + 4;
+
+/// The fixed request header in front of every request body.
+///
+/// `corr` is stamped per request and echoed on every frame of the
+/// answer. `deadline_ns` is the caller's *relative* budget remaining at
+/// send time (no clock synchronisation is assumed): the server measures
+/// its own queue wait against it and sheds work whose budget is already
+/// spent. `trace` carries the caller's span context so server-side spans
+/// parent under it. Absent options cost no bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Header {
+    pub corr: u32,
+    pub deadline_ns: Option<u64>,
+    pub trace: Option<TraceContext>,
+}
+
+impl Header {
+    /// Encoded size of this header.
+    pub fn encoded_len(&self) -> usize {
+        1 + 4 + self.deadline_ns.map_or(0, |_| 8) + self.trace.map_or(0, |_| 16)
+    }
+
+    /// A request's full wire payload: this header, then `req`'s body.
+    pub fn encode(&self, req: &Request) -> Vec<u8> {
+        let mut w = Writer { buf: Vec::with_capacity(self.encoded_len() + 32) };
+        let mut flags = 0;
+        if self.deadline_ns.is_some() {
+            flags |= FLAG_DEADLINE;
+        }
+        if let Some(t) = self.trace {
+            flags |= FLAG_TRACE | if t.sampled { FLAG_SAMPLED } else { 0 };
+        }
+        w.u8(flags);
+        w.u32(self.corr);
+        if let Some(d) = self.deadline_ns {
+            w.u64(d);
+        }
+        if let Some(t) = self.trace {
+            w.u64(t.trace_id);
+            w.u64(t.parent_span);
+        }
+        req.write(&mut w);
+        w.buf
+    }
+
+    /// Split a request payload into its header and the undecoded body.
+    pub fn split(payload: &[u8]) -> ProtoResult<(Header, &[u8])> {
+        let mut r = Reader::new(payload);
+        let flags = r.u8()?;
+        if flags & !KNOWN_FLAGS != 0 || flags & (FLAG_TRACE | FLAG_SAMPLED) == FLAG_SAMPLED {
+            return Err(ProtoError(format!("unknown request header flags {flags:#04x}")));
+        }
+        let corr = r.u32()?;
+        let deadline_ns = if flags & FLAG_DEADLINE != 0 { Some(r.u64()?) } else { None };
+        let trace = if flags & FLAG_TRACE != 0 {
+            Some(TraceContext {
+                trace_id: r.u64()?,
+                parent_span: r.u64()?,
+                sampled: flags & FLAG_SAMPLED != 0,
+            })
+        } else {
+            None
+        };
+        Ok((Header { corr, deadline_ns, trace }, &payload[r.pos..]))
+    }
+
+    /// Decode a request payload: header, then body.
+    pub fn decode(payload: &[u8]) -> ProtoResult<(Header, Request)> {
+        let (h, body) = Header::split(payload)?;
+        Ok((h, Request::decode(body)?))
+    }
+}
+
+/// Split a response frame into `(corr, frame index, body)`.
+pub fn split_response(payload: &[u8]) -> ProtoResult<(u32, u32, &[u8])> {
+    let mut r = Reader::new(payload);
+    let corr = r.u32()?;
+    let frame = r.u32()?;
+    Ok((corr, frame, &payload[RESPONSE_HEADER_LEN..]))
+}
 
 /// A client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,17 +184,11 @@ pub enum Request {
     /// Fetch the container's raw metadata (`ContainerMeta::encode` bytes).
     Meta { container: String },
     /// Read messages of `topics`, optionally restricted to `[start, end]`.
+    /// Answered by [`Response::StreamChunk`] frames written as the
+    /// server-side merge yields messages, closed by
+    /// [`Response::StreamEnd`]. The worker's cache pin is held for the
+    /// stream's whole lifetime.
     Read { container: String, topics: Vec<String>, range: Option<(Time, Time)> },
-    /// Like `Read`, but answered with a sequence of
-    /// [`Response::StreamChunk`] frames written as the server-side merge
-    /// yields messages, closed by [`Response::StreamEnd`]. The worker's
-    /// cache pin is held for the stream's whole lifetime.
-    ReadStream { container: String, topics: Vec<String>, range: Option<(Time, Time)> },
-    /// Like `ReadStream`, but announces that this client decodes
-    /// [`Response::StreamChunkLz`] — the server may answer with
-    /// compressed chunk frames (it still may send plain `StreamChunk`s;
-    /// the capability is permission, not obligation).
-    ReadStream2 { container: String, topics: Vec<String>, range: Option<(Time, Time)> },
     /// Append live messages to an ingest root (`bora-ingest`). Messages
     /// must be per-topic chronological; the whole batch is acked as a
     /// unit once its WAL frames are group-committed. Appends are shed
@@ -226,17 +201,18 @@ pub enum Request {
     Seal { container: String, compact: bool },
     /// Execute a `bora-query` statement against a container (live
     /// ingest roots included — the server reads an MVCC snapshot).
+    /// Answered by one [`Response::QuerySchema`], zero or more
+    /// [`Response::QueryChunk`]s and a terminal [`Response::QueryEnd`].
     /// `partial: true` asks for flattened partial-aggregate rows
     /// instead of final values — the distributed fragment mode; it is
     /// a [`ErrorCode::BadQuery`] error for non-aggregate statements.
     Query { container: String, sql: String, partial: bool },
     /// Summary numbers for one container.
     Stat { container: String },
-    /// Server-wide metrics snapshot.
-    Stats,
     /// Drain the server's span buffers as a Chrome trace JSON document.
     /// Control-plane (skips the data queue); empty unless the server runs
-    /// with tracing enabled (`BORA_TRACE=1`).
+    /// with tracing enabled (`BORA_TRACE=1`). Kept apart from `METRICS`
+    /// because it drains destructively.
     Trace,
     /// Liveness/health probe. Control-plane (skips the data queue), so a
     /// saturated server still answers in O(1) — which is exactly what a
@@ -290,61 +266,6 @@ impl From<MessageRecord> for WireMessage {
     }
 }
 
-/// Latency summary for one op kind inside a [`StatsSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OpSummary {
-    pub count: u64,
-    /// Wall-clock nanoseconds, measured submit → response.
-    pub wall_min_ns: u64,
-    pub wall_mean_ns: u64,
-    pub wall_p99_ns: u64,
-    /// Virtual nanoseconds charged by the storage cost model.
-    pub virt_mean_ns: u64,
-}
-
-/// Server-wide metrics snapshot (`STATS`).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Summaries keyed by op name (`open`, `topics`, `meta`, `read`,
-    /// `stat`), sorted by name for deterministic encoding.
-    pub ops: Vec<(String, OpSummary)>,
-    /// Requests rejected with [`Response::Overloaded`].
-    pub shed: u64,
-    /// Requests sitting in the queue right now.
-    pub queue_depth: u32,
-    /// Bound of the request queue.
-    pub queue_capacity: u32,
-    /// Mean time requests spent parked in the queue before a worker took
-    /// them (the queue-wait share of `wall_mean_ns`).
-    pub queue_wait_mean_ns: u64,
-    pub queue_wait_p99_ns: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_evictions: u64,
-    pub cache_len: u32,
-    pub cache_capacity: u32,
-}
-
-impl StatsSnapshot {
-    /// Total completed requests across all ops.
-    pub fn total_requests(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.count).sum()
-    }
-
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    pub fn op(&self, name: &str) -> Option<&OpSummary> {
-        self.ops.iter().find(|(n, _)| n == name).map(|(_, s)| s)
-    }
-}
-
 /// Layout version of [`MetricsReport`]; bumped whenever the encoding
 /// changes shape so pollers can reject reports they don't understand.
 pub const METRICS_REPORT_VERSION: u32 = 1;
@@ -356,7 +277,7 @@ pub const METRICS_REPORT_VERSION: u32 = 1;
 pub struct SlowOpEntry {
     /// Trace id of the request, 0 when the request was untraced.
     pub trace_id: u64,
-    /// Op name (`read`, `append`, …).
+    /// Op name (`read_stream`, `append`, …).
     pub op: String,
     /// Container/shard the op targeted; empty for container-less ops.
     pub container: String,
@@ -475,14 +396,9 @@ pub enum Response {
     /// Raw `ContainerMeta::encode` bytes; the client decodes them with
     /// `bora::ContainerMeta::decode`, reusing the container's own format.
     Meta(Vec<u8>),
-    Read(Vec<WireMessage>),
-    /// One batch of a `READ_STREAM` answer; more frames follow.
+    /// One batch of a `READ` answer; more frames follow.
     StreamChunk(Vec<WireMessage>),
-    /// One batch of a `READ_STREAM2` answer, carried as a
-    /// `bora::block` frame wrapping the plain chunk body. Decode with
-    /// [`decompress_chunk`]; produce with [`compress_chunk`].
-    StreamChunkLz(Vec<u8>),
-    /// Terminal frame of a `READ_STREAM` answer: total messages streamed.
+    /// Terminal frame of a `READ` answer: total messages streamed.
     StreamEnd {
         messages: u64,
     },
@@ -512,7 +428,6 @@ pub enum Response {
         sealed_segments: u32,
     },
     Stat(ContainerStat),
-    Stats(StatsSnapshot),
     /// Full registry scrape (see [`Request::Metrics`]).
     Metrics(MetricsReport),
     /// Chrome `trace_event` JSON text drained from the server's span
@@ -528,6 +443,16 @@ pub enum Response {
     /// The bounded request queue was full; retry later. Sent without
     /// queueing, so an overloaded server answers this in O(1).
     Overloaded,
+}
+
+impl Response {
+    /// Whether more frames of the same answer follow this one.
+    pub fn is_partial(&self) -> bool {
+        matches!(
+            self,
+            Response::StreamChunk(_) | Response::QuerySchema(_) | Response::QueryChunk(_)
+        )
+    }
 }
 
 /// Decode failure: the frame was structurally invalid.
@@ -551,9 +476,6 @@ struct Writer {
 }
 
 impl Writer {
-    fn new(op: u8) -> Self {
-        Writer { buf: vec![op] }
-    }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -574,6 +496,12 @@ impl Writer {
         debug_assert!(s.len() <= u16::MAX as usize, "string field too long");
         self.u16(s.len() as u16);
         self.buf.extend_from_slice(s.as_bytes());
+    }
+    fn strs(&mut self, v: &[String]) {
+        self.u16(v.len() as u16);
+        for s in v {
+            self.str(s);
+        }
     }
     fn bytes(&mut self, b: &[u8]) {
         self.u32(b.len() as u32);
@@ -625,7 +553,7 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
     fn take(&mut self, n: usize) -> ProtoResult<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(ProtoError(format!(
                 "truncated frame: wanted {n} bytes at offset {}, have {}",
                 self.pos,
@@ -635,6 +563,12 @@ impl<'a> Reader<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+    /// Capacity to reserve for `n` claimed elements of at least
+    /// `min_len` encoded bytes each: never more than the remaining input
+    /// could hold, so a forged count cannot allocate beyond the frame.
+    fn cap(&self, n: usize, min_len: usize) -> usize {
+        n.min((self.buf.len() - self.pos) / min_len)
     }
     fn u8(&mut self) -> ProtoResult<u8> {
         Ok(self.take(1)?[0])
@@ -648,6 +582,13 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> ProtoResult<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+    fn flag(&mut self, what: &str) -> ProtoResult<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            v => Err(ProtoError(format!("bad {what} marker {v}"))),
+        }
+    }
     fn time(&mut self) -> ProtoResult<Time> {
         Ok(Time { sec: self.u32()?, nsec: self.u32()? })
     }
@@ -656,9 +597,20 @@ impl<'a> Reader<'a> {
         let raw = self.take(len)?;
         String::from_utf8(raw.to_vec()).map_err(|_| ProtoError("non-UTF8 string field".into()))
     }
+    fn strs(&mut self) -> ProtoResult<Vec<String>> {
+        let n = self.u16()? as usize;
+        let mut v = Vec::with_capacity(self.cap(n, MIN_STR));
+        for _ in 0..n {
+            v.push(self.str()?);
+        }
+        Ok(v)
+    }
     fn bytes(&mut self) -> ProtoResult<Vec<u8>> {
         let len = self.u32()? as usize;
         Ok(self.take(len)?.to_vec())
+    }
+    fn text(&mut self, what: &str) -> ProtoResult<String> {
+        String::from_utf8(self.bytes()?).map_err(|_| ProtoError(format!("{what} is not UTF-8")))
     }
     fn stat(&mut self) -> ProtoResult<ContainerStat> {
         Ok(ContainerStat {
@@ -671,7 +623,7 @@ impl<'a> Reader<'a> {
     }
     fn msgs(&mut self) -> ProtoResult<Vec<WireMessage>> {
         let n = self.u32()? as usize;
-        let mut messages = Vec::with_capacity(n.min(1 << 20));
+        let mut messages = Vec::with_capacity(self.cap(n, MIN_MSG));
         for _ in 0..n {
             messages.push(WireMessage {
                 topic: self.str()?,
@@ -680,6 +632,19 @@ impl<'a> Reader<'a> {
             });
         }
         Ok(messages)
+    }
+    /// A `u16`-counted list of `item`s, each at least `min_len` bytes.
+    fn list<T>(
+        &mut self,
+        min_len: usize,
+        mut item: impl FnMut(&mut Self) -> ProtoResult<T>,
+    ) -> ProtoResult<Vec<T>> {
+        let n = self.u16()? as usize;
+        let mut v = Vec::with_capacity(self.cap(n, min_len));
+        for _ in 0..n {
+            v.push(item(self)?);
+        }
+        Ok(v)
     }
     fn i64(&mut self) -> ProtoResult<i64> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -718,17 +683,11 @@ impl Request {
             | Request::Topics { container }
             | Request::Meta { container }
             | Request::Read { container, .. }
-            | Request::ReadStream { container, .. }
-            | Request::ReadStream2 { container, .. }
             | Request::Append { container, .. }
             | Request::Seal { container, .. }
             | Request::Query { container, .. }
             | Request::Stat { container } => Some(container),
-            Request::Stats
-            | Request::Metrics
-            | Request::Trace
-            | Request::Ping
-            | Request::Shutdown => None,
+            Request::Metrics | Request::Trace | Request::Ping | Request::Shutdown => None,
         }
     }
 
@@ -738,15 +697,11 @@ impl Request {
             Request::Open { .. } => "open",
             Request::Topics { .. } => "topics",
             Request::Meta { .. } => "meta",
-            Request::Read { .. } => "read",
-            // Same op as ReadStream under a different chunk encoding, so
-            // both share one metrics/SLO key.
-            Request::ReadStream { .. } | Request::ReadStream2 { .. } => "read_stream",
+            Request::Read { .. } => "read_stream",
             Request::Append { .. } => "append",
             Request::Seal { .. } => "seal",
             Request::Query { .. } => "query",
             Request::Stat { .. } => "stat",
-            Request::Stats => "stats",
             Request::Metrics => "metrics",
             Request::Trace => "trace",
             Request::Ping => "ping",
@@ -754,34 +709,31 @@ impl Request {
         }
     }
 
+    /// The request body alone (opcode + fields), without a [`Header`].
     pub fn encode(&self) -> Vec<u8> {
-        let mut w;
+        let mut w = Writer { buf: Vec::new() };
+        self.write(&mut w);
+        w.buf
+    }
+
+    fn write(&self, w: &mut Writer) {
         match self {
             Request::Open { container } => {
-                w = Writer::new(OP_OPEN);
+                w.u8(OP_OPEN);
                 w.str(container);
             }
             Request::Topics { container } => {
-                w = Writer::new(OP_TOPICS);
+                w.u8(OP_TOPICS);
                 w.str(container);
             }
             Request::Meta { container } => {
-                w = Writer::new(OP_META);
+                w.u8(OP_META);
                 w.str(container);
             }
-            Request::Read { container, topics, range }
-            | Request::ReadStream { container, topics, range }
-            | Request::ReadStream2 { container, topics, range } => {
-                w = Writer::new(match self {
-                    Request::Read { .. } => OP_READ,
-                    Request::ReadStream { .. } => OP_READ_STREAM,
-                    _ => OP_READ_STREAM2,
-                });
+            Request::Read { container, topics, range } => {
+                w.u8(OP_READ);
                 w.str(container);
-                w.u16(topics.len() as u16);
-                for t in topics {
-                    w.str(t);
-                }
+                w.strs(topics);
                 match range {
                     Some((start, end)) => {
                         w.u8(1);
@@ -792,59 +744,45 @@ impl Request {
                 }
             }
             Request::Append { container, messages } => {
-                w = Writer::new(OP_APPEND);
+                w.u8(OP_APPEND);
                 w.str(container);
                 w.msgs(messages);
             }
             Request::Seal { container, compact } => {
-                w = Writer::new(OP_SEAL);
+                w.u8(OP_SEAL);
                 w.str(container);
                 w.u8(*compact as u8);
             }
             Request::Query { container, sql, partial } => {
-                w = Writer::new(OP_QUERY);
+                w.u8(OP_QUERY);
                 w.str(container);
                 // u32 length: query text has no natural u16 bound.
                 w.bytes(sql.as_bytes());
                 w.u8(*partial as u8);
             }
             Request::Stat { container } => {
-                w = Writer::new(OP_STAT);
+                w.u8(OP_STAT);
                 w.str(container);
             }
-            Request::Stats => w = Writer::new(OP_STATS),
-            Request::Metrics => w = Writer::new(OP_METRICS),
-            Request::Trace => w = Writer::new(OP_TRACE),
-            Request::Ping => w = Writer::new(OP_PING),
-            Request::Shutdown => w = Writer::new(OP_SHUTDOWN),
+            Request::Metrics => w.u8(OP_METRICS),
+            Request::Trace => w.u8(OP_TRACE),
+            Request::Ping => w.u8(OP_PING),
+            Request::Shutdown => w.u8(OP_SHUTDOWN),
         }
-        w.buf
     }
 
+    /// Decode a request body (the bytes after the [`Header`]).
     pub fn decode(payload: &[u8]) -> ProtoResult<Request> {
         let mut r = Reader::new(payload);
-        let op = r.u8()?;
-        let req = match op {
+        let req = match r.u8()? {
             OP_OPEN => Request::Open { container: r.str()? },
             OP_TOPICS => Request::Topics { container: r.str()? },
             OP_META => Request::Meta { container: r.str()? },
-            OP_READ | OP_READ_STREAM | OP_READ_STREAM2 => {
+            OP_READ => {
                 let container = r.str()?;
-                let n = r.u16()? as usize;
-                let mut topics = Vec::with_capacity(n);
-                for _ in 0..n {
-                    topics.push(r.str()?);
-                }
-                let range = match r.u8()? {
-                    0 => None,
-                    1 => Some((r.time()?, r.time()?)),
-                    v => return Err(ProtoError(format!("bad range marker {v}"))),
-                };
-                match op {
-                    OP_READ => Request::Read { container, topics, range },
-                    OP_READ_STREAM => Request::ReadStream { container, topics, range },
-                    _ => Request::ReadStream2 { container, topics, range },
-                }
+                let topics = r.strs()?;
+                let range = if r.flag("range")? { Some((r.time()?, r.time()?)) } else { None };
+                Request::Read { container, topics, range }
             }
             OP_APPEND => {
                 let container = r.str()?;
@@ -852,26 +790,14 @@ impl Request {
             }
             OP_SEAL => {
                 let container = r.str()?;
-                let compact = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    v => return Err(ProtoError(format!("bad compact marker {v}"))),
-                };
-                Request::Seal { container, compact }
+                Request::Seal { container, compact: r.flag("compact")? }
             }
             OP_QUERY => {
                 let container = r.str()?;
-                let sql = String::from_utf8(r.bytes()?)
-                    .map_err(|_| ProtoError("query text is not UTF-8".into()))?;
-                let partial = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    v => return Err(ProtoError(format!("bad partial marker {v}"))),
-                };
-                Request::Query { container, sql, partial }
+                let sql = r.text("query text")?;
+                Request::Query { container, sql, partial: r.flag("partial")? }
             }
             OP_STAT => Request::Stat { container: r.str()? },
-            OP_STATS => Request::Stats,
             OP_METRICS => Request::Metrics,
             OP_TRACE => Request::Trace,
             OP_PING => Request::Ping,
@@ -881,166 +807,78 @@ impl Request {
         r.finish()?;
         Ok(req)
     }
-
-    /// Encode with an optional trace-context prefix. With `ctx: None`
-    /// the output is byte-identical to [`Request::encode`] — a client
-    /// that isn't tracing is indistinguishable from one that predates
-    /// tracing, which is what keeps old servers compatible.
-    pub fn encode_traced(&self, ctx: Option<TraceContext>) -> Vec<u8> {
-        let Some(c) = ctx else { return self.encode() };
-        let inner = self.encode();
-        let mut buf = Vec::with_capacity(TRACE_CTX_LEN + inner.len());
-        buf.push(OP_TRACE_CTX);
-        buf.extend_from_slice(&c.trace_id.to_le_bytes());
-        buf.extend_from_slice(&c.parent_span.to_le_bytes());
-        buf.push(c.sampled as u8);
-        buf.extend_from_slice(&inner);
-        buf
-    }
-
-    /// Decode a request payload, peeling the optional trace-context
-    /// prefix. Plain payloads (old clients) decode to `(req, None)`.
-    pub fn decode_traced(payload: &[u8]) -> ProtoResult<(Request, Option<TraceContext>)> {
-        if payload.first() != Some(&OP_TRACE_CTX) {
-            return Ok((Request::decode(payload)?, None));
-        }
-        if payload.len() < TRACE_CTX_LEN {
-            return Err(ProtoError("truncated trace-context header".into()));
-        }
-        let trace_id = u64::from_le_bytes(payload[1..9].try_into().unwrap());
-        let parent_span = u64::from_le_bytes(payload[9..17].try_into().unwrap());
-        let flags = payload[17];
-        if flags & !1 != 0 {
-            return Err(ProtoError(format!("unknown trace-context flags {flags:#04x}")));
-        }
-        let ctx = TraceContext { trace_id, parent_span, sampled: flags & 1 != 0 };
-        Ok((Request::decode(&payload[TRACE_CTX_LEN..])?, Some(ctx)))
-    }
-
-    /// Encode with both optional prefixes: the deadline header is the
-    /// *outermost* layer, wrapping the (possibly trace-wrapped) payload.
-    /// With both `None` the output is byte-identical to
-    /// [`Request::encode`].
-    pub fn encode_framed(&self, ctx: Option<TraceContext>, deadline_ns: Option<u64>) -> Vec<u8> {
-        let inner = self.encode_traced(ctx);
-        let Some(budget) = deadline_ns else { return inner };
-        let mut buf = Vec::with_capacity(DEADLINE_LEN + inner.len());
-        buf.push(OP_DEADLINE);
-        buf.extend_from_slice(&budget.to_le_bytes());
-        buf.extend_from_slice(&inner);
-        buf
-    }
-
-    /// Decode a request payload, peeling the optional deadline prefix
-    /// and then the optional trace-context prefix. Plain payloads (old
-    /// clients) decode to `(req, None, None)`.
-    #[allow(clippy::type_complexity)]
-    pub fn decode_framed(
-        payload: &[u8],
-    ) -> ProtoResult<(Request, Option<TraceContext>, Option<u64>)> {
-        if payload.first() != Some(&OP_DEADLINE) {
-            let (req, ctx) = Request::decode_traced(payload)?;
-            return Ok((req, ctx, None));
-        }
-        if payload.len() < DEADLINE_LEN {
-            return Err(ProtoError("truncated deadline header".into()));
-        }
-        let budget_ns = u64::from_le_bytes(payload[1..9].try_into().unwrap());
-        let (req, ctx) = Request::decode_traced(&payload[DEADLINE_LEN..])?;
-        Ok((req, ctx, Some(budget_ns)))
-    }
 }
 
 impl Response {
+    /// The response body alone, without the response header.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w;
+        let mut w = Writer { buf: Vec::new() };
+        self.write(&mut w);
+        w.buf
+    }
+
+    /// A full response frame: `corr`, the frame's index within its
+    /// answer, then the body.
+    pub fn encode_with(&self, corr: u32, frame: u32) -> Vec<u8> {
+        let mut w = Writer { buf: Vec::with_capacity(64) };
+        w.u32(corr);
+        w.u32(frame);
+        self.write(&mut w);
+        w.buf
+    }
+
+    fn write(&self, w: &mut Writer) {
         match self {
             Response::Opened { stat, cached } => {
-                w = Writer::new(OP_OK_OPEN);
+                w.u8(OP_OK_OPEN);
                 w.stat(stat);
                 w.u8(*cached as u8);
             }
             Response::Topics(topics) => {
-                w = Writer::new(OP_OK_TOPICS);
-                w.u16(topics.len() as u16);
-                for t in topics {
-                    w.str(t);
-                }
+                w.u8(OP_OK_TOPICS);
+                w.strs(topics);
             }
             Response::Meta(bytes) => {
-                w = Writer::new(OP_OK_META);
+                w.u8(OP_OK_META);
                 w.bytes(bytes);
             }
-            Response::Read(messages) => {
-                w = Writer::new(OP_OK_READ);
-                w.msgs(messages);
-            }
             Response::StreamChunk(messages) => {
-                w = Writer::new(OP_OK_STREAM_CHUNK);
+                w.u8(OP_OK_STREAM_CHUNK);
                 w.msgs(messages);
-            }
-            Response::StreamChunkLz(frame) => {
-                w = Writer::new(OP_OK_STREAM_CHUNK_LZ);
-                w.bytes(frame);
             }
             Response::StreamEnd { messages } => {
-                w = Writer::new(OP_OK_STREAM_END);
+                w.u8(OP_OK_STREAM_END);
                 w.u64(*messages);
             }
             Response::QuerySchema(cols) => {
-                w = Writer::new(OP_OK_QUERY_SCHEMA);
-                w.u16(cols.len() as u16);
-                for c in cols {
-                    w.str(c);
-                }
+                w.u8(OP_OK_QUERY_SCHEMA);
+                w.strs(cols);
             }
             Response::QueryChunk(blob) => {
-                w = Writer::new(OP_OK_QUERY_CHUNK);
+                w.u8(OP_OK_QUERY_CHUNK);
                 w.bytes(blob);
             }
             Response::QueryEnd { rows, explain } => {
-                w = Writer::new(OP_OK_QUERY_END);
+                w.u8(OP_OK_QUERY_END);
                 w.u64(*rows);
                 w.bytes(explain.as_bytes());
             }
             Response::Appended { appended, epoch } => {
-                w = Writer::new(OP_OK_APPENDED);
+                w.u8(OP_OK_APPENDED);
                 w.u64(*appended);
                 w.u64(*epoch);
             }
             Response::Sealed { epoch, sealed_segments } => {
-                w = Writer::new(OP_OK_SEALED);
+                w.u8(OP_OK_SEALED);
                 w.u64(*epoch);
                 w.u32(*sealed_segments);
             }
             Response::Stat(stat) => {
-                w = Writer::new(OP_OK_STAT);
+                w.u8(OP_OK_STAT);
                 w.stat(stat);
             }
-            Response::Stats(s) => {
-                w = Writer::new(OP_OK_STATS);
-                w.u16(s.ops.len() as u16);
-                for (name, op) in &s.ops {
-                    w.str(name);
-                    w.u64(op.count);
-                    w.u64(op.wall_min_ns);
-                    w.u64(op.wall_mean_ns);
-                    w.u64(op.wall_p99_ns);
-                    w.u64(op.virt_mean_ns);
-                }
-                w.u64(s.shed);
-                w.u32(s.queue_depth);
-                w.u32(s.queue_capacity);
-                w.u64(s.queue_wait_mean_ns);
-                w.u64(s.queue_wait_p99_ns);
-                w.u64(s.cache_hits);
-                w.u64(s.cache_misses);
-                w.u64(s.cache_evictions);
-                w.u32(s.cache_len);
-                w.u32(s.cache_capacity);
-            }
             Response::Metrics(m) => {
-                w = Writer::new(OP_OK_METRICS);
+                w.u8(OP_OK_METRICS);
                 w.u32(m.version);
                 w.u32(m.server_id);
                 w.u64(m.uptime_ns);
@@ -1070,142 +908,66 @@ impl Response {
                 }
             }
             Response::Trace(json) => {
-                w = Writer::new(OP_OK_TRACE);
+                w.u8(OP_OK_TRACE);
                 w.bytes(json.as_bytes());
             }
             Response::Pong(p) => {
-                w = Writer::new(OP_OK_PONG);
+                w.u8(OP_OK_PONG);
                 w.u32(p.server_id);
                 w.u64(p.uptime_ns);
                 w.u32(p.queue_depth);
             }
-            Response::ShuttingDown => w = Writer::new(OP_OK_SHUTDOWN),
+            Response::ShuttingDown => w.u8(OP_OK_SHUTDOWN),
             Response::Error { code, message } => {
-                w = Writer::new(OP_ERROR);
+                w.u8(OP_ERROR);
                 w.u8(*code as u8);
                 w.str(message);
             }
-            Response::Overloaded => w = Writer::new(OP_OVERLOADED),
+            Response::Overloaded => w.u8(OP_OVERLOADED),
         }
-        w.buf
     }
 
+    /// Decode a response body (the bytes after the response header).
     pub fn decode(payload: &[u8]) -> ProtoResult<Response> {
         let mut r = Reader::new(payload);
-        let op = r.u8()?;
-        let resp = match op {
+        let resp = match r.u8()? {
             OP_OK_OPEN => {
                 let stat = r.stat()?;
                 let cached = r.u8()? != 0;
                 Response::Opened { stat, cached }
             }
-            OP_OK_TOPICS => {
-                let n = r.u16()? as usize;
-                let mut topics = Vec::with_capacity(n);
-                for _ in 0..n {
-                    topics.push(r.str()?);
-                }
-                Response::Topics(topics)
-            }
+            OP_OK_TOPICS => Response::Topics(r.strs()?),
             OP_OK_META => Response::Meta(r.bytes()?),
-            OP_OK_READ => Response::Read(r.msgs()?),
             OP_OK_STREAM_CHUNK => Response::StreamChunk(r.msgs()?),
-            OP_OK_STREAM_CHUNK_LZ => Response::StreamChunkLz(r.bytes()?),
             OP_OK_STREAM_END => Response::StreamEnd { messages: r.u64()? },
-            OP_OK_QUERY_SCHEMA => {
-                let n = r.u16()? as usize;
-                let mut cols = Vec::with_capacity(n);
-                for _ in 0..n {
-                    cols.push(r.str()?);
-                }
-                Response::QuerySchema(cols)
-            }
+            OP_OK_QUERY_SCHEMA => Response::QuerySchema(r.strs()?),
             OP_OK_QUERY_CHUNK => Response::QueryChunk(r.bytes()?),
             OP_OK_QUERY_END => {
                 let rows = r.u64()?;
-                let explain = String::from_utf8(r.bytes()?)
-                    .map_err(|_| ProtoError("explain text is not UTF-8".into()))?;
-                Response::QueryEnd { rows, explain }
+                Response::QueryEnd { rows, explain: r.text("explain text")? }
             }
             OP_OK_APPENDED => Response::Appended { appended: r.u64()?, epoch: r.u64()? },
             OP_OK_SEALED => Response::Sealed { epoch: r.u64()?, sealed_segments: r.u32()? },
             OP_OK_STAT => Response::Stat(r.stat()?),
-            OP_OK_STATS => {
-                let n = r.u16()? as usize;
-                let mut ops = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = r.str()?;
-                    let op = OpSummary {
-                        count: r.u64()?,
-                        wall_min_ns: r.u64()?,
-                        wall_mean_ns: r.u64()?,
-                        wall_p99_ns: r.u64()?,
-                        virt_mean_ns: r.u64()?,
-                    };
-                    ops.push((name, op));
-                }
-                Response::Stats(StatsSnapshot {
-                    ops,
-                    shed: r.u64()?,
-                    queue_depth: r.u32()?,
-                    queue_capacity: r.u32()?,
-                    queue_wait_mean_ns: r.u64()?,
-                    queue_wait_p99_ns: r.u64()?,
-                    cache_hits: r.u64()?,
-                    cache_misses: r.u64()?,
-                    cache_evictions: r.u64()?,
-                    cache_len: r.u32()?,
-                    cache_capacity: r.u32()?,
-                })
-            }
-            OP_OK_METRICS => {
-                let version = r.u32()?;
-                let server_id = r.u32()?;
-                let uptime_ns = r.u64()?;
-                let nc = r.u16()? as usize;
-                let mut counters = Vec::with_capacity(nc);
-                for _ in 0..nc {
-                    counters.push((r.str()?, r.u64()?));
-                }
-                let ng = r.u16()? as usize;
-                let mut gauges = Vec::with_capacity(ng);
-                for _ in 0..ng {
-                    gauges.push((r.str()?, r.i64()?));
-                }
-                let nh = r.u16()? as usize;
-                let mut hists = Vec::with_capacity(nh);
-                for _ in 0..nh {
-                    hists.push((r.str()?, r.hist()?));
-                }
-                let ns = r.u16()? as usize;
-                let mut slow_ops = Vec::with_capacity(ns);
-                for _ in 0..ns {
-                    slow_ops.push(SlowOpEntry {
+            OP_OK_METRICS => Response::Metrics(MetricsReport {
+                version: r.u32()?,
+                server_id: r.u32()?,
+                uptime_ns: r.u64()?,
+                counters: r.list(MIN_COUNTER, |r| Ok((r.str()?, r.u64()?)))?,
+                gauges: r.list(MIN_COUNTER, |r| Ok((r.str()?, r.i64()?)))?,
+                hists: r.list(MIN_HIST, |r| Ok((r.str()?, r.hist()?)))?,
+                slow_ops: r.list(MIN_SLOW_OP, |r| {
+                    Ok(SlowOpEntry {
                         trace_id: r.u64()?,
                         op: r.str()?,
                         container: r.str()?,
                         wall_ns: r.u64()?,
                         queue_wait_ns: r.u64()?,
                         server_id: r.u32()?,
-                    });
-                }
-                Response::Metrics(MetricsReport {
-                    version,
-                    server_id,
-                    uptime_ns,
-                    counters,
-                    gauges,
-                    hists,
-                    slow_ops,
-                })
-            }
-            OP_OK_TRACE => {
-                let raw = r.bytes()?;
-                Response::Trace(
-                    String::from_utf8(raw)
-                        .map_err(|_| ProtoError("non-UTF8 trace document".into()))?,
-                )
-            }
+                    })
+                })?,
+            }),
+            OP_OK_TRACE => Response::Trace(r.text("trace document")?),
             OP_OK_PONG => Response::Pong(PingInfo {
                 server_id: r.u32()?,
                 uptime_ns: r.u64()?,
@@ -1252,6 +1014,10 @@ mod tests {
 
     fn roundtrip_resp(resp: Response) {
         assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        let framed = resp.encode_with(7, 3);
+        let (corr, frame, body) = split_response(&framed).unwrap();
+        assert_eq!((corr, frame), (7, 3));
+        assert_eq!(Response::decode(body).unwrap(), resp);
     }
 
     #[test]
@@ -1265,18 +1031,6 @@ mod tests {
             range: Some((Time::new(3, 14), Time::new(10, 0))),
         });
         roundtrip_req(Request::Read { container: "/c".into(), topics: vec![], range: None });
-        roundtrip_req(Request::ReadStream {
-            container: "/c/hs0".into(),
-            topics: vec!["/imu".into()],
-            range: Some((Time::new(1, 0), Time::new(2, 0))),
-        });
-        roundtrip_req(Request::ReadStream { container: "/c".into(), topics: vec![], range: None });
-        roundtrip_req(Request::ReadStream2 {
-            container: "/c/hs0".into(),
-            topics: vec!["/imu".into(), "/cam".into()],
-            range: Some((Time::new(1, 0), Time::new(2, 0))),
-        });
-        roundtrip_req(Request::ReadStream2 { container: "/c".into(), topics: vec![], range: None });
         roundtrip_req(Request::Append {
             container: "/live".into(),
             messages: vec![
@@ -1300,7 +1054,6 @@ mod tests {
             partial: false,
         });
         roundtrip_req(Request::Stat { container: "/c".into() });
-        roundtrip_req(Request::Stats);
         roundtrip_req(Request::Metrics);
         roundtrip_req(Request::Trace);
         roundtrip_req(Request::Ping);
@@ -1308,74 +1061,44 @@ mod tests {
     }
 
     #[test]
-    fn trace_context_prefix_roundtrips() {
+    fn header_layout_is_fixed() {
         let req =
             Request::Read { container: "/c/hs0".into(), topics: vec!["/imu".into()], range: None };
+        let body = req.encode();
         let ctx = TraceContext { trace_id: 0xDEAD_BEEF_0042, parent_span: 77, sampled: true };
-        let traced = req.encode_traced(Some(ctx));
-        assert_eq!(Request::decode_traced(&traced).unwrap(), (req.clone(), Some(ctx)));
-        // Unsampled bit travels too.
-        let off = TraceContext { sampled: false, ..ctx };
-        let (r2, c2) = Request::decode_traced(&req.encode_traced(Some(off))).unwrap();
-        assert_eq!((r2, c2), (req.clone(), Some(off)));
-        // No context → byte-identical to the pre-trace encoding, and
-        // decode_traced accepts it (old client → new server).
-        assert_eq!(req.encode_traced(None), req.encode());
-        assert_eq!(Request::decode_traced(&req.encode()).unwrap(), (req.clone(), None));
-        // Plain decode rejects the prefixed form the way an old server
-        // would reject any unknown opcode: an error, not a panic.
-        assert!(Request::decode(&traced).is_err());
-        // Malformed prefixes error cleanly.
-        assert!(Request::decode_traced(&[0x0F, 1, 2]).is_err());
-        let mut bad_flags = req.encode_traced(Some(ctx));
-        bad_flags[17] = 0xFE;
-        assert!(Request::decode_traced(&bad_flags).is_err());
-    }
-
-    #[test]
-    fn deadline_prefix_roundtrips() {
-        let req =
-            Request::Read { container: "/c/hs0".into(), topics: vec!["/imu".into()], range: None };
-        let ctx = TraceContext { trace_id: 7, parent_span: 8, sampled: true };
-        // Deadline alone.
-        let framed = req.encode_framed(None, Some(1_500_000));
-        assert_eq!(Request::decode_framed(&framed).unwrap(), (req.clone(), None, Some(1_500_000)));
-        // Deadline wrapping a trace context (deadline is outermost).
-        let both = req.encode_framed(Some(ctx), Some(42));
-        assert_eq!(both[0], 0x10);
-        assert_eq!(both[DEADLINE_LEN], 0x0F);
-        assert_eq!(Request::decode_framed(&both).unwrap(), (req.clone(), Some(ctx), Some(42)));
-        // Trace context alone stays the pure trace encoding.
-        assert_eq!(req.encode_framed(Some(ctx), None), req.encode_traced(Some(ctx)));
-        // Neither prefix → byte-identical to the bare encoding, and
-        // decode_framed accepts old-client payloads.
-        assert_eq!(req.encode_framed(None, None), req.encode());
-        assert_eq!(Request::decode_framed(&req.encode()).unwrap(), (req.clone(), None, None));
-        // Truncated deadline header errors cleanly, as does a deadline
-        // prefix wrapping garbage.
-        assert!(Request::decode_framed(&[0x10, 1, 2]).is_err());
-        assert!(Request::decode_framed(&[0x10, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF]).is_err());
-        // Plain decode rejects the prefixed form (old server behaviour).
-        assert!(Request::decode(&framed).is_err());
-    }
-
-    #[test]
-    fn corr_prefix_roundtrips() {
-        let inner = Request::Ping.encode();
-        let framed = wrap_corr(0xDEAD_BEEF, &inner);
-        assert_eq!(framed[0], OP_CORR);
-        assert_eq!(framed.len(), CORR_LEN + inner.len());
-        assert_eq!(peel_corr(&framed), (Some(0xDEAD_BEEF), &inner[..]));
-        // Unprefixed payloads pass through untouched — plain peers.
-        assert_eq!(peel_corr(&inner), (None, &inner[..]));
-        // A response's opcode space (0x8x/0xEx) can never be mistaken
-        // for the prefix, and a short 0x11 frame is not peeled.
-        assert_eq!(peel_corr(&[OP_CORR, 1]), (None, &[OP_CORR, 1][..]));
-        let resp = Response::Pong(PingInfo::default()).encode();
-        assert_eq!(peel_corr(&resp).0, None);
-        // Seq wraps with the u32 — stamping is cheap and unbounded.
-        let w = wrap_corr(u32::MAX, &inner);
-        assert_eq!(peel_corr(&w).0, Some(u32::MAX));
+        let cases = [
+            (Header { corr: 9, deadline_ns: None, trace: None }, 0u8, 5usize),
+            (Header { corr: 9, deadline_ns: Some(1_500_000), trace: None }, 1, 13),
+            (Header { corr: 9, deadline_ns: None, trace: Some(ctx) }, 6, 21),
+            (Header { corr: 9, deadline_ns: Some(42), trace: Some(ctx) }, 7, 29),
+            (
+                Header {
+                    corr: 9,
+                    deadline_ns: None,
+                    trace: Some(TraceContext { sampled: false, ..ctx }),
+                },
+                2,
+                21,
+            ),
+        ];
+        for (h, flags, len) in cases {
+            let wire = h.encode(&req);
+            assert_eq!(h.encoded_len(), len);
+            assert_eq!(wire.len(), len + body.len(), "{h:?}");
+            assert_eq!(wire[0], flags);
+            assert_eq!(&wire[1..5], &9u32.to_le_bytes());
+            assert_eq!(&wire[len..], body.as_slice(), "body bytes follow the header unchanged");
+            assert_eq!(Header::decode(&wire).unwrap(), (h, req.clone()));
+        }
+        // Unknown flag bits, and the sampled bit without a trace context,
+        // are typed errors.
+        for flags in [0x08u8, 0x80, 0x04, 0x05] {
+            let mut wire = Header::default().encode(&req);
+            wire[0] = flags;
+            assert!(Header::decode(&wire).is_err(), "flags {flags:#04x}");
+        }
+        assert!(Header::decode(&[]).is_err());
+        assert!(Header::decode(&[1, 0, 0, 0, 0, 1, 2]).is_err(), "truncated deadline");
     }
 
     #[test]
@@ -1390,12 +1113,12 @@ mod tests {
             counters: vec![("serve.shed".into(), 4), ("cache.hits".into(), 99)],
             gauges: vec![("serve.queue_depth".into(), -1), ("serve.inflight".into(), 12)],
             hists: vec![
-                ("serve.op.read.wall_ns".into(), hist),
+                ("serve.op.read_stream.wall_ns".into(), hist),
                 ("empty".into(), HistSummary::default()),
             ],
             slow_ops: vec![SlowOpEntry {
                 trace_id: 42,
-                op: "read".into(),
+                op: "read_stream".into(),
                 container: "/c/hs0".into(),
                 wall_ns: 25_000_000,
                 queue_wait_ns: 3_000,
@@ -1406,7 +1129,7 @@ mod tests {
         assert_eq!(report.counter("cache.hits"), 99);
         assert_eq!(report.counter("missing"), 0);
         assert_eq!(report.gauge("serve.queue_depth"), Some(-1));
-        assert_eq!(report.hist("serve.op.read.wall_ns").unwrap().count, 3);
+        assert_eq!(report.hist("serve.op.read_stream.wall_ns").unwrap().count, 3);
         roundtrip_resp(Response::Metrics(MetricsReport::default()));
         // A sparse histogram with an out-of-range bucket index is rejected.
         let mut r = super::Reader::new(&[
@@ -1430,15 +1153,10 @@ mod tests {
         roundtrip_resp(Response::Opened { stat: stat.clone(), cached: true });
         roundtrip_resp(Response::Topics(vec!["/imu".into(), "/tf".into()]));
         roundtrip_resp(Response::Meta(vec![1, 2, 3, 255]));
-        roundtrip_resp(Response::Read(vec![
+        roundtrip_resp(Response::StreamChunk(vec![
             WireMessage { topic: "/imu".into(), time: Time::new(5, 0), data: vec![0; 64] },
             WireMessage { topic: "/tf".into(), time: Time::new(5, 1), data: vec![] },
         ]));
-        roundtrip_resp(Response::StreamChunk(vec![WireMessage {
-            topic: "/imu".into(),
-            time: Time::new(6, 7),
-            data: vec![9; 16],
-        }]));
         roundtrip_resp(Response::StreamChunk(vec![]));
         roundtrip_resp(Response::StreamEnd { messages: 42 });
         roundtrip_resp(Response::QuerySchema(vec!["time".into(), "__count".into()]));
@@ -1454,31 +1172,6 @@ mod tests {
         roundtrip_resp(Response::Appended { appended: 17, epoch: 930 });
         roundtrip_resp(Response::Sealed { epoch: 931, sealed_segments: 3 });
         roundtrip_resp(Response::Stat(stat));
-        roundtrip_resp(Response::Stats(StatsSnapshot {
-            ops: vec![
-                (
-                    "open".into(),
-                    OpSummary {
-                        count: 3,
-                        wall_min_ns: 10,
-                        wall_mean_ns: 20,
-                        wall_p99_ns: 30,
-                        virt_mean_ns: 40,
-                    },
-                ),
-                ("read".into(), OpSummary::default()),
-            ],
-            shed: 9,
-            queue_depth: 2,
-            queue_capacity: 64,
-            queue_wait_mean_ns: 1_234,
-            queue_wait_p99_ns: 8_191,
-            cache_hits: 100,
-            cache_misses: 4,
-            cache_evictions: 1,
-            cache_len: 3,
-            cache_capacity: 4,
-        }));
         roundtrip_resp(Response::Trace("{\"traceEvents\":[]}".into()));
         roundtrip_resp(Response::Pong(PingInfo {
             server_id: 3,
@@ -1493,58 +1186,7 @@ mod tests {
             message: "t/data".into(),
         });
         roundtrip_resp(Response::Overloaded);
-    }
-
-    #[test]
-    fn compressed_chunk_roundtrips() {
-        let mut ctx = IoCtx::new();
-        // Compressible batch: repetitive payloads shrink on the wire.
-        let msgs: Vec<WireMessage> = (0..64)
-            .map(|i| WireMessage {
-                topic: "/imu".into(),
-                time: Time::new(100 + i, 0),
-                data: vec![0u8; 256],
-            })
-            .collect();
-        let resp = compress_chunk(&msgs, &mut ctx);
-        let Response::StreamChunkLz(frame) = &resp else { panic!("expected lz chunk") };
-        let mut plain = Writer { buf: Vec::new() };
-        plain.msgs(&msgs);
-        assert!(
-            frame.len() < plain.buf.len() / 2,
-            "mostly-zero batch must compress ≥2x: {} vs {}",
-            frame.len(),
-            plain.buf.len()
-        );
-        assert_eq!(decompress_chunk(frame).unwrap(), msgs);
-        roundtrip_resp(resp);
-
-        // Empty batch and incompressible batch still roundtrip (raw
-        // fallback inside the frame).
-        let empty = compress_chunk(&[], &mut ctx);
-        let Response::StreamChunkLz(f) = &empty else { panic!() };
-        assert_eq!(decompress_chunk(f).unwrap(), Vec::<WireMessage>::new());
-        let noise: Vec<WireMessage> = (0..8)
-            .map(|i| WireMessage {
-                topic: format!("/t{i}"),
-                time: Time::new(i, 7),
-                data: (0..97u32)
-                    .map(|j| (j.wrapping_mul(2654435761).wrapping_add(i)) as u8)
-                    .collect(),
-            })
-            .collect();
-        let Response::StreamChunkLz(f) = compress_chunk(&noise, &mut ctx) else { panic!() };
-        assert_eq!(decompress_chunk(&f).unwrap(), noise);
-
-        // A flipped bit fails the frame CRC: typed error, no garbage.
-        let Response::StreamChunkLz(mut bad) = compress_chunk(&msgs, &mut ctx) else { panic!() };
-        let last = bad.len() - 1;
-        bad[last] ^= 0x40;
-        assert!(decompress_chunk(&bad).is_err());
-        // Trailing bytes after the frame are rejected too.
-        let Response::StreamChunkLz(mut long) = compress_chunk(&msgs, &mut ctx) else { panic!() };
-        long.push(0);
-        assert!(decompress_chunk(&long).is_err());
+        assert!(split_response(&[1, 0, 0, 0, 2, 0, 0]).is_err(), "short response header");
     }
 
     #[test]
@@ -1579,7 +1221,7 @@ mod tests {
             Request::Seal { container: "/live".into(), compact: false }.container(),
             Some("/live")
         );
-        assert_eq!(Request::Stats.container(), None);
+        assert_eq!(Request::Metrics.container(), None);
         assert_eq!(Request::Ping.container(), None);
         assert_eq!(Request::Shutdown.container(), None);
     }
@@ -1588,10 +1230,14 @@ mod tests {
     fn malformed_frames_error_cleanly() {
         assert!(Request::decode(&[]).is_err());
         assert!(Request::decode(&[0x42]).is_err(), "unknown opcode");
+        // Retired opcodes (0x06, 0x09, 0x12) decode as unknown.
+        for op in [0x06u8, 0x09, 0x12] {
+            assert!(Request::decode(&[op]).is_err(), "{op:#04x}");
+        }
         // OPEN with a length prefix pointing past the end.
         assert!(Request::decode(&[OP_OPEN, 0xFF, 0xFF, b'x']).is_err());
         // Valid request with trailing garbage.
-        let mut buf = Request::Stats.encode();
+        let mut buf = Request::Metrics.encode();
         buf.push(0);
         assert!(Request::decode(&buf).is_err());
         // Oversized frame header.

@@ -7,11 +7,16 @@
 //!                      └──────── reply channel ◀──────────────────┘
 //! ```
 //!
+//! [`Server::submit`] is the one entry point: every request, with the
+//! [`Header`] it arrived under, answers through an `emit` callback —
+//! once for single-frame ops, once per frame for `READ` and `QUERY`.
+//!
 //! Backpressure is explicit: `submit` never blocks on a full queue — it
 //! sheds the request with [`Response::Overloaded`] so the client decides
-//! whether to retry. The control-plane ops (`STATS`, `SHUTDOWN`) bypass
-//! the queue entirely, which is what makes an overloaded server
-//! observable: you can always ask it how overloaded it is.
+//! whether to retry. The control-plane ops (`METRICS`, `PING`, `TRACE`,
+//! `SHUTDOWN`) bypass the queue entirely, which is what makes an
+//! overloaded server observable: you can always ask it how overloaded
+//! it is.
 //!
 //! Workers register with a [`simfs::ConcurrencyGauge`], so on cost-model
 //! backends each request's virtual I/O time reflects how many workers
@@ -32,10 +37,10 @@ use ros_msgs::Time;
 use simfs::{ConcurrencyGauge, IoCtx, Storage};
 
 use crate::cache::HandleCache;
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, StatsSnapshot};
 use crate::proto::{
-    compress_chunk, ContainerStat, ErrorCode, MetricsReport, PingInfo, Request, Response,
-    SlowOpEntry, StatsSnapshot, WireMessage, METRICS_REPORT_VERSION,
+    ContainerStat, ErrorCode, Header, MetricsReport, PingInfo, Request, Response, SlowOpEntry,
+    WireMessage, METRICS_REPORT_VERSION,
 };
 
 /// Messages per [`Response::StreamChunk`] frame. Small enough that the
@@ -174,201 +179,76 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
         })
     }
 
-    /// Handle one request to completion. Control-plane ops answer inline;
-    /// data ops go through the bounded queue and may come back
-    /// [`Response::Overloaded`].
-    pub fn submit(&self, req: Request) -> Response {
-        self.submit_traced(req, None)
-    }
-
-    /// [`Server::submit`] carrying the client's trace context, if the
-    /// transport decoded one: the worker adopts it, so every server-side
-    /// span of this request parents under the client's span.
-    pub fn submit_traced(&self, req: Request, tctx: Option<TraceContext>) -> Response {
-        self.submit_framed(req, tctx, None)
-    }
-
-    /// [`Server::submit_traced`] carrying the client's deadline budget,
-    /// if the transport decoded one. Control-plane ops ignore it (they
-    /// answer inline and must stay reachable under overload); data ops
-    /// carry it to the worker, which sheds the job if its queue wait
-    /// already exceeded the budget — the client has given up or is about
-    /// to, so doing the work would burn a worker on a dead request.
-    pub fn submit_framed(
+    /// Handle one request, delivering every response frame through `emit`.
+    ///
+    /// Control-plane ops answer inline with one frame. Data ops go through
+    /// the bounded queue and may come back [`Response::Overloaded`]; a
+    /// single-frame op emits its one reply, [`Request::Read`] emits zero
+    /// or more [`Response::StreamChunk`] frames then [`Response::StreamEnd`]
+    /// (or an error), and [`Request::Query`] emits schema, row chunks and
+    /// [`Response::QueryEnd`]. The reply channel is bounded
+    /// (`STREAM_WINDOW` frames): a transport that is slow to `emit` throttles
+    /// the worker. `hdr` carries the client's trace context, which the
+    /// worker adopts so its spans parent under the client's, and its
+    /// deadline budget: a job whose queue wait already spent the budget
+    /// is shed unworked.
+    ///
+    /// Returns `false` once `emit` does — the transport lost its client —
+    /// at which point the in-flight answer is aborted server-side (the
+    /// worker's next send fails and it drops the cache pin).
+    pub fn submit(
         &self,
         req: Request,
-        tctx: Option<TraceContext>,
-        deadline_ns: Option<u64>,
-    ) -> Response {
-        match req {
-            Request::Stats => Response::Stats(self.stats()),
+        hdr: &Header,
+        emit: &mut dyn FnMut(Response) -> bool,
+    ) -> bool {
+        let req = match req {
             // METRICS is control-plane for the same reason PING is: the
             // telemetry poller must see an overloaded node, not be shed
             // by it.
-            Request::Metrics => Response::Metrics(self.metrics_report()),
-            // PING answers inline for the same reason STATS does: the
-            // health tracker must hear from an overloaded server, and the
-            // queue depth in the reply is the overload signal itself.
-            Request::Ping => Response::Pong(self.ping()),
-            // TRACE drains the process-wide span buffers; like STATS it
-            // answers inline so a wedged pool can still be profiled. With
-            // tracing disabled the document is just empty.
+            Request::Metrics => return emit(Response::Metrics(self.metrics_report())),
+            // The health tracker must hear from an overloaded server, and
+            // the queue depth in the reply is the overload signal itself.
+            Request::Ping => return emit(Response::Pong(self.ping())),
+            // TRACE drains the process-wide span buffers inline so a
+            // wedged pool can still be profiled. With tracing disabled
+            // the document is just empty.
             Request::Trace => {
-                Response::Trace(bora_obs::chrome_trace(&bora_obs::drain(), bora_obs::dropped()))
+                return emit(Response::Trace(bora_obs::chrome_trace(
+                    &bora_obs::drain(),
+                    bora_obs::dropped(),
+                )))
             }
             Request::Shutdown => {
                 self.begin_shutdown();
-                Response::ShuttingDown
+                return emit(Response::ShuttingDown);
             }
-            // A streamed read through the single-response API degrades
-            // to a buffered read: aggregate the chunk frames. Byte-wise
-            // the result is identical to `Request::Read` over the same
-            // query — the pipeline is the same, only the framing differs.
-            req @ (Request::ReadStream { .. } | Request::ReadStream2 { .. }) => {
-                let mut messages: Vec<WireMessage> = Vec::new();
-                let mut out = Response::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "worker exited before replying".into(),
-                };
-                self.submit_streamed_framed(req, tctx, deadline_ns, &mut |resp| {
-                    match resp {
-                        Response::StreamChunk(mut chunk) => messages.append(&mut chunk),
-                        Response::StreamChunkLz(frame) => {
-                            match crate::proto::decompress_chunk(&frame) {
-                                Ok(mut chunk) => messages.append(&mut chunk),
-                                Err(e) => {
-                                    out = Response::Error {
-                                        code: ErrorCode::Corrupt,
-                                        message: e.to_string(),
-                                    };
-                                    return false;
-                                }
-                            }
-                        }
-                        Response::StreamEnd { .. } => {
-                            out = Response::Read(std::mem::take(&mut messages));
-                        }
-                        other => out = other,
-                    }
-                    true
-                });
-                out
-            }
-            // A query through the single-response API degrades the same
-            // way: collect the frames, fold them into the one response
-            // that answers what was asked (rows for a plain query, the
-            // plan for EXPLAIN).
-            req @ Request::Query { .. } => {
-                let mut frames = Vec::new();
-                self.submit_streamed_framed(req, tctx, deadline_ns, &mut |resp| {
-                    frames.push(resp);
-                    true
-                });
-                fold_query_frames(frames)
-            }
-            req => {
-                if self.is_shutting_down() {
-                    return Response::Error {
-                        code: ErrorCode::ShuttingDown,
-                        message: "server is shutting down".into(),
-                    };
-                }
-                // Appends shed *before* reads: the queue admits them only
-                // while less than half full, so a recording robot under a
-                // write burst backs off while analysts' queries still land.
-                if matches!(req, Request::Append { .. })
-                    && self.tx.len() >= (self.queue_capacity / 2).max(1)
-                {
-                    self.shared.metrics.record_shed();
-                    bora_obs::counter("serve.append_shed").inc();
-                    return Response::Overloaded;
-                }
-                let (reply_tx, reply_rx) = channel::bounded(1);
-                let job = Job::Work {
-                    req,
-                    reply: reply_tx,
-                    submitted: Instant::now(),
-                    tctx,
-                    submitted_ns: obs_now(),
-                    deadline_ns,
-                };
-                match self.tx.try_send(job) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) => {
-                        self.shared.metrics.record_shed();
-                        return Response::Overloaded;
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        return Response::Error {
-                            code: ErrorCode::ShuttingDown,
-                            message: "worker pool stopped".into(),
-                        };
-                    }
-                }
-                reply_rx.recv().unwrap_or(Response::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "worker exited before replying".into(),
-                })
-            }
-        }
-    }
-
-    /// Handle one request, delivering every response frame through `emit`.
-    ///
-    /// For single-response ops this is exactly [`Server::submit`] plus one
-    /// `emit` call. For [`Request::ReadStream`] it emits zero or more
-    /// [`Response::StreamChunk`] frames followed by a terminal frame
-    /// ([`Response::StreamEnd`] on success, an error/overload response
-    /// otherwise). The reply channel is bounded ([`STREAM_WINDOW`]): a
-    /// transport that is slow to `emit` throttles the worker's merge loop.
-    ///
-    /// Returns `false` once `emit` does — the transport lost its client —
-    /// at which point the in-flight stream is aborted server-side (the
-    /// worker's next send fails and it drops the cache pin).
-    pub fn submit_streamed(&self, req: Request, emit: &mut dyn FnMut(Response) -> bool) -> bool {
-        self.submit_streamed_traced(req, None, emit)
-    }
-
-    /// [`Server::submit_streamed`] carrying the client's trace context;
-    /// see [`Server::submit_traced`].
-    pub fn submit_streamed_traced(
-        &self,
-        req: Request,
-        tctx: Option<TraceContext>,
-        emit: &mut dyn FnMut(Response) -> bool,
-    ) -> bool {
-        self.submit_streamed_framed(req, tctx, None, emit)
-    }
-
-    /// [`Server::submit_streamed_traced`] carrying the client's deadline
-    /// budget; see [`Server::submit_framed`].
-    pub fn submit_streamed_framed(
-        &self,
-        req: Request,
-        tctx: Option<TraceContext>,
-        deadline_ns: Option<u64>,
-        emit: &mut dyn FnMut(Response) -> bool,
-    ) -> bool {
-        if !matches!(
-            req,
-            Request::ReadStream { .. } | Request::ReadStream2 { .. } | Request::Query { .. }
-        ) {
-            return emit(self.submit_framed(req, tctx, deadline_ns));
-        }
+            req => req,
+        };
         if self.is_shutting_down() {
             return emit(Response::Error {
                 code: ErrorCode::ShuttingDown,
                 message: "server is shutting down".into(),
             });
         }
+        // Appends shed *before* reads: the queue admits them only while
+        // less than half full, so a recording robot under a write burst
+        // backs off while analysts' queries still land.
+        if matches!(req, Request::Append { .. })
+            && self.tx.len() >= (self.queue_capacity / 2).max(1)
+        {
+            self.shared.metrics.record_shed();
+            bora_obs::counter("serve.append_shed").inc();
+            return emit(Response::Overloaded);
+        }
         let (reply_tx, reply_rx) = channel::bounded(STREAM_WINDOW);
         let job = Job::Work {
             req,
             reply: reply_tx,
             submitted: Instant::now(),
-            tctx,
+            tctx: hdr.trace,
             submitted_ns: obs_now(),
-            deadline_ns,
+            deadline_ns: hdr.deadline_ns,
         };
         match self.tx.try_send(job) {
             Ok(()) => {}
@@ -384,29 +264,17 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
             }
         }
         loop {
-            let resp = match reply_rx.recv() {
-                Ok(resp) => resp,
-                Err(_) => {
-                    // Worker died mid-stream without a terminal frame.
-                    return emit(Response::Error {
-                        code: ErrorCode::ShuttingDown,
-                        message: "worker exited mid-stream".into(),
-                    });
-                }
+            let Ok(resp) = reply_rx.recv() else {
+                // Worker died without a terminal frame.
+                return emit(Response::Error {
+                    code: ErrorCode::ShuttingDown,
+                    message: "worker exited before replying".into(),
+                });
             };
-            // Query streams interleave schema and row-chunk frames before
-            // their terminal QueryEnd; treating any of them as terminal
-            // would stop the drain with the worker still producing.
-            let terminal = !matches!(
-                resp,
-                Response::StreamChunk(_)
-                    | Response::StreamChunkLz(_)
-                    | Response::QuerySchema(_)
-                    | Response::QueryChunk(_)
-            );
+            let terminal = !resp.is_partial();
             if !emit(resp) {
                 // Client is gone: dropping `reply_rx` makes the worker's
-                // next send fail, aborting the stream and releasing its
+                // next send fail, aborting the answer and releasing its
                 // cache pin.
                 return false;
             }
@@ -433,27 +301,18 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
         self.shared.cache.set_preferred(roots);
     }
 
-    /// Current metrics, including live queue depth and cache counters.
+    /// Current summary, including live queue depth and cache counters:
+    /// the projection of [`Server::metrics_report`].
     pub fn stats(&self) -> StatsSnapshot {
-        let cache = self.shared.cache.stats();
-        let base = StatsSnapshot {
-            queue_depth: self.tx.len() as u32,
-            queue_capacity: self.queue_capacity as u32,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
-            cache_len: cache.len,
-            cache_capacity: cache.capacity,
-            ..StatsSnapshot::default()
-        };
-        self.shared.metrics.snapshot_into(base)
+        StatsSnapshot::from_report(&self.metrics_report())
     }
 
     /// Versioned scrape payload (`METRICS`): the node's full metric
-    /// registry plus its slow-op tail. Reads the same handles `STATS`
-    /// does, so the two views can never disagree.
+    /// registry plus its slow-op tail.
     pub fn metrics_report(&self) -> MetricsReport {
-        let snap = self.shared.metrics.registry_snapshot();
+        let metrics = &self.shared.metrics;
+        metrics.publish(self.shared.cache.stats(), self.tx.len(), self.queue_capacity);
+        let snap = metrics.registry_snapshot();
         MetricsReport {
             version: METRICS_REPORT_VERSION,
             server_id: self.shared.server_id,
@@ -550,20 +409,9 @@ fn worker_loop<S: Storage + Clone>(shared: &Shared<S>, rx: &Receiver<Job>) {
                 (req, reply, submitted, tctx, submitted_ns, deadline_ns)
             }
         };
-        // Control-plane ops never reach the queue (submit answers them
-        // inline); seeing one here means a transport bypassed submit.
-        // They must not hit the metrics table, whose op names are
-        // data-plane only.
-        if matches!(
-            req,
-            Request::Stats | Request::Metrics | Request::Trace | Request::Ping | Request::Shutdown
-        ) {
-            let _ = reply.send(Response::Error {
-                code: ErrorCode::BadRequest,
-                message: "control op routed to worker".into(),
-            });
-            continue;
-        }
+        // Control-plane ops never reach the queue: `submit` answers them
+        // inline, so every op here has a metrics slot.
+        //
         // Everything this request records now parents under the client's
         // span (a no-op guard when the request carried no context).
         let _trace = bora_obs::adopt_context(tctx);
@@ -600,13 +448,10 @@ fn worker_loop<S: Storage + Clone>(shared: &Shared<S>, rx: &Receiver<Job>) {
         // yields; the terminal frame (StreamEnd or error) is returned
         // and sent below, *after* the metrics record — so a client
         // that has consumed the stream is guaranteed to see the op
-        // counted by a subsequent STATS.
+        // counted by a subsequent METRICS scrape.
         let resp = match req {
-            Request::ReadStream { ref container, ref topics, range } => {
-                handle_stream(shared, container, topics, range, false, &reply, &mut ctx)
-            }
-            Request::ReadStream2 { ref container, ref topics, range } => {
-                handle_stream(shared, container, topics, range, true, &reply, &mut ctx)
+            Request::Read { ref container, ref topics, range } => {
+                handle_stream(shared, container, topics, range, &reply, &mut ctx)
             }
             Request::Query { ref container, ref sql, partial } => {
                 handle_query(shared, container, sql, partial, &reply, &mut ctx)
@@ -645,7 +490,6 @@ fn span_name(op: &str) -> &'static str {
         "open" => "serve.open",
         "topics" => "serve.topics",
         "meta" => "serve.meta",
-        "read" => "serve.read",
         "read_stream" => "serve.read_stream",
         "query" => "serve.query",
         "append" => "serve.append",
@@ -692,7 +536,6 @@ fn stream_snapshot<S: Storage + Clone>(
     store: &IngestStore<S>,
     topics: &[String],
     range: Option<(Time, Time)>,
-    lz: bool,
     reply: &Sender<Response>,
     ctx: &mut IoCtx,
 ) -> Result<Option<Response>, BoraError> {
@@ -707,36 +550,23 @@ fn stream_snapshot<S: Storage + Clone>(
     for rec in records {
         batch.push(WireMessage::from(rec));
         if batch.len() >= STREAM_CHUNK_MSGS
-            && reply.send(chunk_frame(std::mem::take(&mut batch), lz, ctx)).is_err()
+            && reply.send(Response::StreamChunk(std::mem::take(&mut batch))).is_err()
         {
             return Ok(None);
         }
     }
-    if !batch.is_empty() && reply.send(chunk_frame(batch, lz, ctx)).is_err() {
+    if !batch.is_empty() && reply.send(Response::StreamChunk(batch)).is_err() {
         return Ok(None);
     }
     Ok(Some(Response::StreamEnd { messages: total }))
 }
 
-/// Encode one outgoing stream batch in the encoding the client
-/// negotiated: `READ_STREAM2` clients get LZ chunk frames (with the
-/// codec's raw fallback for incompressible batches), plain clients get
-/// the classic chunk.
-fn chunk_frame(batch: Vec<WireMessage>, lz: bool, ctx: &mut IoCtx) -> Response {
-    if lz {
-        bora_obs::counter("serve.stream_chunk_lz").inc();
-        compress_chunk(&batch, ctx)
-    } else {
-        Response::StreamChunk(batch)
-    }
-}
-
-/// Run a [`Request::ReadStream`], sending chunk frames on `reply` as the
+/// Run a [`Request::Read`], sending chunk frames on `reply` as the
 /// k-way merge yields messages. The terminal frame ([`Response::StreamEnd`]
 /// or an error) is *returned*, not sent: the worker loop sends it after
 /// recording metrics, so the op is counted before any client can observe
 /// stream completion. `None` means the receiver disappeared mid-stream
-/// (client hung up, or `submit_streamed` returned early) and there is
+/// (client hung up, or `submit` returned early) and there is
 /// nobody left to send a terminal frame to.
 ///
 /// The cache pin (`pinned`) is held for the whole stream: a burst of
@@ -749,13 +579,12 @@ fn handle_stream<S: Storage + Clone>(
     container: &str,
     topics: &[String],
     range: Option<(Time, Time)>,
-    lz: bool,
     reply: &Sender<Response>,
     ctx: &mut IoCtx,
 ) -> Option<Response> {
     let result = (|| -> Result<Option<Response>, BoraError> {
         if let Some(store) = ingest_for(shared, container, ctx)? {
-            return stream_snapshot(&store, topics, range, lz, reply, ctx);
+            return stream_snapshot(&store, topics, range, reply, ctx);
         }
         let pinned = shared.cache.get_or_open(&shared.storage, container, ctx)?;
         let refs: Vec<&str> = topics.iter().map(String::as_str).collect();
@@ -770,13 +599,13 @@ fn handle_stream<S: Storage + Clone>(
             batch.push(WireMessage::from(msg.to_record()));
             total += 1;
             if batch.len() >= STREAM_CHUNK_MSGS
-                && reply.send(chunk_frame(std::mem::take(&mut batch), lz, ctx)).is_err()
+                && reply.send(Response::StreamChunk(std::mem::take(&mut batch))).is_err()
             {
                 stream.charge_into(ctx);
                 return Ok(None);
             }
         }
-        if !batch.is_empty() && reply.send(chunk_frame(batch, lz, ctx)).is_err() {
+        if !batch.is_empty() && reply.send(Response::StreamChunk(batch)).is_err() {
             return Ok(None);
         }
         Ok(Some(Response::StreamEnd { messages: total }))
@@ -913,39 +742,6 @@ fn drain_query<S: Storage>(
     Ok(Some(Response::QueryEnd { rows: total, explain }))
 }
 
-/// Fold a query's frame stream into the one response the single-frame
-/// API can carry: all row chunks re-encoded as one blob for a plain
-/// query, the terminal [`Response::QueryEnd`] when the statement was an
-/// EXPLAIN variant (the plan is what was asked for). Errors and
-/// overload frames pass through.
-fn fold_query_frames(frames: Vec<Response>) -> Response {
-    let mut rows: Vec<bora_query::Row> = Vec::new();
-    let mut out = Response::Error {
-        code: ErrorCode::ShuttingDown,
-        message: "worker exited before replying".into(),
-    };
-    for resp in frames {
-        match resp {
-            Response::QuerySchema(_) => {}
-            Response::QueryChunk(blob) => match bora_query::decode_rows(&blob) {
-                Ok(mut r) => rows.append(&mut r),
-                Err(e) => {
-                    return Response::Error { code: ErrorCode::Corrupt, message: e.to_string() }
-                }
-            },
-            Response::QueryEnd { rows: n, explain } => {
-                out = if explain.is_empty() {
-                    Response::QueryChunk(bora_query::encode_rows(&rows))
-                } else {
-                    Response::QueryEnd { rows: n, explain }
-                };
-            }
-            other => out = other,
-        }
-    }
-    out
-}
-
 fn handle<S: Storage + Clone>(shared: &Shared<S>, req: Request, ctx: &mut IoCtx) -> Response {
     let container = req.container().map(str::to_owned);
     let result = (|| -> Result<Response, BoraError> {
@@ -995,75 +791,20 @@ fn handle<S: Storage + Clone>(shared: &Shared<S>, req: Request, ctx: &mut IoCtx)
                 let pinned = shared.cache.get_or_open(&shared.storage, container, ctx)?;
                 Ok(Response::Meta(pinned.bag().meta().encode()))
             }
-            Request::Read { container, topics, range } => {
-                if let Some(store) = ingest_for(shared, container, ctx)? {
-                    let snap = store.snapshot(ctx)?;
-                    let refs: Vec<&str> = topics.iter().map(String::as_str).collect();
-                    let records = match range {
-                        Some((start, end)) => snap.read_time_range(&refs, *start, *end, ctx)?,
-                        None => snap.read_topics(&refs, ctx)?,
-                    };
-                    return Ok(Response::Read(records.into_iter().map(Into::into).collect()));
-                }
-                let pinned = shared.cache.get_or_open(&shared.storage, container, ctx)?;
-                let refs: Vec<&str> = topics.iter().map(String::as_str).collect();
-                let records = match range {
-                    Some((start, end)) => {
-                        pinned.bag().read_topics_time(&refs, *start, *end, ctx)?
-                    }
-                    None => pinned.bag().read_topics(&refs, ctx)?,
-                };
-                Ok(Response::Read(records.into_iter().map(Into::into).collect()))
-            }
-            // Normally routed to `handle_stream` by the worker loop; if
-            // one lands here anyway (future transports), serve it as a
-            // buffered read — the result bytes are identical.
-            Request::ReadStream { container, topics, range }
-            | Request::ReadStream2 { container, topics, range } => {
-                let refs: Vec<&str> = topics.iter().map(String::as_str).collect();
-                if let Some(store) = ingest_for(shared, container, ctx)? {
-                    let snap = store.snapshot(ctx)?;
-                    let records = match range {
-                        Some((start, end)) => snap.read_time_range(&refs, *start, *end, ctx)?,
-                        None => snap.read_topics(&refs, ctx)?,
-                    };
-                    return Ok(Response::Read(records.into_iter().map(Into::into).collect()));
-                }
-                let pinned = shared.cache.get_or_open(&shared.storage, container, ctx)?;
-                let opts = StreamOptions::default();
-                let stream = match range {
-                    Some((start, end)) => {
-                        pinned.bag().stream_topics_time(&refs, *start, *end, opts, ctx)?
-                    }
-                    None => pinned.bag().stream_topics(&refs, opts, ctx)?,
-                };
-                let records = stream.collect_records(ctx)?;
-                Ok(Response::Read(records.into_iter().map(Into::into).collect()))
-            }
             Request::Stat { container } => {
                 let pinned = shared.cache.get_or_open(&shared.storage, container, ctx)?;
                 Ok(Response::Stat(stat_of(pinned.bag().meta())))
             }
-            // Normally routed to `handle_query` by the worker loop; if
-            // one lands here anyway (future transports), drain the frames
-            // into memory and fold them to one response.
-            Request::Query { container, sql, partial } => {
-                let (tx, rx) = channel::unbounded();
-                let terminal = handle_query(shared, container, sql, *partial, &tx, ctx);
-                drop(tx);
-                let mut frames: Vec<Response> = rx.try_iter().collect();
-                frames.extend(terminal);
-                Ok(fold_query_frames(frames))
-            }
-            // Unreachable: worker_loop filters control-plane ops before
-            // dispatching here.
-            Request::Stats
+            // Streamed ops run in `handle_stream`/`handle_query`, and
+            // control ops never reach a worker.
+            Request::Read { .. }
+            | Request::Query { .. }
             | Request::Metrics
             | Request::Trace
             | Request::Ping
             | Request::Shutdown => Ok(Response::Error {
                 code: ErrorCode::BadRequest,
-                message: "control op routed to worker".into(),
+                message: format!("{} is not a single-frame data op", req.op_name()),
             }),
         }
     })();

@@ -16,7 +16,7 @@ use std::time::Duration;
 use crossbeam::channel::{self, Receiver, Sender};
 use simfs::Storage;
 
-use crate::proto::{frame, frame_len, Request, Response, FRAME_HEADER_LEN};
+use crate::proto::{frame, frame_len, ErrorCode, Header, Request, Response, FRAME_HEADER_LEN};
 use crate::server::Server;
 
 /// One bidirectional framed byte stream.
@@ -90,29 +90,31 @@ where
             Ok(p) => p,
             Err(_) => return, // peer gone (EOF) or transport failure
         };
-        // Correlation first: a stamped request gets its seq echoed on
-        // every frame of the answer, so the client can tell this
-        // response from a stale duplicate of an earlier one.
-        let (corr, framed) = crate::proto::peel_corr(&payload);
-        let respond = |resp: &Response| match corr {
-            Some(seq) => crate::proto::wrap_corr(seq, &resp.encode()),
-            None => resp.encode(),
+        // Every frame of the answer echoes the request's correlation id
+        // and carries its own index, so the client can tell this answer
+        // from a stale duplicate and notice a lost or reordered frame.
+        let (hdr, req) = match Header::split(&payload) {
+            Ok((hdr, body)) => (hdr, Request::decode(body)),
+            Err(e) => (Header::default(), Err(e)),
         };
-        // Framed decode: a request may carry the client's deadline budget
-        // and/or trace context as prefixes; plain frames (old clients)
-        // decode with `None` and the server behaves exactly as before.
-        match Request::decode_framed(framed) {
-            // Streaming-aware dispatch: a single-response op emits exactly
-            // one frame; READ_STREAM emits chunk frames as the server's
-            // merge yields, with the transport's own send acting as the
-            // final backpressure stage. A failed send drops the emit
-            // closure's `true`, which tells the server to abort the
-            // in-flight stream (releasing its cache pin).
-            Ok((req, tctx, deadline_ns)) => {
+        let mut frame = 0u32;
+        let mut send = |conn: &mut C, resp: &Response| {
+            let ok = conn.send_frame(&resp.encode_with(hdr.corr, frame)).is_ok();
+            frame += 1;
+            ok
+        };
+        match req {
+            // A single-frame op emits exactly one frame; READ and QUERY
+            // emit frames as the server produces them, with the
+            // transport's own send acting as the final backpressure
+            // stage. A failed send returns `false` from `emit`, which
+            // tells the server to abort the in-flight answer (releasing
+            // its cache pin).
+            Ok(req) => {
                 let mut final_resp = false;
-                let ok = server.submit_streamed_framed(req, tctx, deadline_ns, &mut |resp| {
+                let ok = server.submit(req, &hdr, &mut |resp| {
                     final_resp = matches!(resp, Response::ShuttingDown);
-                    conn.send_frame(&respond(&resp)).is_ok()
+                    send(conn, &resp)
                 });
                 if !ok || final_resp || server.is_shutting_down() {
                     return;
@@ -122,11 +124,8 @@ where
             // connection — one bad client frame should not force a
             // reconnect.
             Err(e) => {
-                let resp = Response::Error {
-                    code: crate::proto::ErrorCode::BadRequest,
-                    message: e.to_string(),
-                };
-                if conn.send_frame(&respond(&resp)).is_err() {
+                let resp = Response::Error { code: ErrorCode::BadRequest, message: e.to_string() };
+                if !send(conn, &resp) {
                     return;
                 }
             }

@@ -66,7 +66,7 @@ fn main() {
     // their p99 under 50ms, opens under 10ms.
     for id in cluster.node_ids() {
         let node = cluster.node(id).unwrap();
-        node.server.set_slo_target("read", SloTarget::p99(50_000_000));
+        node.server.set_slo_target("read_stream", SloTarget::p99(50_000_000));
         node.server.set_slo_target("open", SloTarget::p99(10_000_000));
     }
 
@@ -99,7 +99,7 @@ fn main() {
     print!("{}", bora_cluster::render_top(&scrape));
     println!(
         "\ncluster-wide reads: {} (summed over {} nodes; hedged losers included)",
-        scrape.aggregate.hist("serve.op.read.wall_ns").map(|h| h.count).unwrap_or(0),
+        scrape.aggregate.hist("serve.op.read_stream.wall_ns").map(|h| h.count).unwrap_or(0),
         scrape.aggregate.nodes,
     );
 
@@ -109,7 +109,7 @@ fn main() {
         let node = cluster.node(id).unwrap();
         for s in node.server.slo_statuses() {
             println!(
-                "node {id} {:<6} p99 {:>9}ns (target {:>9}ns) samples {:>4} breached={} ({} total)",
+                "node {id} {:<11} p99 {:>9}ns (target {:>9}ns) samples {:>4} breached={} ({} total)",
                 s.name, s.p99_ns, s.target.p99_ns, s.samples, s.breached, s.breaches
             );
         }

@@ -15,7 +15,7 @@ use bora_cluster::{
     ClusterClientConfig, ClusterTelemetry, ClusterTierConfig, HedgeConfig, LocalCluster, RingConfig,
 };
 use bora_obs::SpanEvent;
-use bora_serve::{Request, TRACE_CTX_LEN};
+use bora_serve::{Header, Request};
 use ros_msgs::sensor_msgs::Imu;
 use ros_msgs::Time;
 use rosbag::{BagWriter, BagWriterOptions};
@@ -192,14 +192,19 @@ fn untraced_path_is_byte_identical_and_span_free() {
     bora_obs::set_enabled(false);
     bora_obs::drain();
 
-    // Wire level: encode_traced(None) is the identity.
+    // Wire level: with tracing off the header carries no trace bytes —
+    // flags and correlation id, then the plain body.
     let req = Request::Read {
         container: "/fleet/m0".into(),
         topics: vec!["/imu".into()],
         range: Some((Time::new(1, 0), Time::new(2, 0))),
     };
-    assert_eq!(req.encode_traced(None), req.encode(), "untraced frames must not change");
-    assert_eq!(req.encode_traced(bora_obs::current_context()), req.encode());
+    let plain = Header { corr: 3, ..Header::default() };
+    let hdr = Header { trace: bora_obs::current_context(), ..plain };
+    assert_eq!(hdr, plain, "tracing off captures no context");
+    let wire = hdr.encode(&req);
+    assert_eq!(wire[0], 0, "no header flags set");
+    assert_eq!(&wire[5..], req.encode().as_slice(), "untraced frames carry no trace bytes");
 
     // End to end: a full query mix with tracing off records nothing.
     let (staging, roots) = stage(1);
@@ -211,28 +216,26 @@ fn untraced_path_is_byte_identical_and_span_free() {
     assert!(bora_obs::drain().is_empty(), "tracing off must record no spans");
 }
 
-/// Compatibility both ways: a plain frame (old client) decodes on a
-/// traced server with no context, and a new client with tracing off
-/// emits frames an old server's plain decoder accepts.
+/// Traced and untraced requests share one header layout: the trace
+/// context is a fixed 16 optional bytes behind a header flag, the body
+/// stays canonical, and either form decodes to the same request.
 #[test]
 fn plain_and_traced_peers_interoperate() {
     let req = Request::Topics { container: "/fleet/m1".into() };
+    let plain = Header { corr: 5, ..Header::default() };
 
-    // Old client → new server: no context, same request.
-    let (decoded, ctx) = Request::decode_traced(&req.encode()).unwrap();
+    // Untraced: decodes with no context.
+    let (h, decoded) = Header::decode(&plain.encode(&req)).unwrap();
     assert_eq!(decoded, req);
-    assert_eq!(ctx, None);
+    assert_eq!(h.trace, None);
 
-    // New client (tracing off) → old server: the plain decoder accepts
-    // the frame because it IS the plain frame.
-    assert_eq!(Request::decode(&req.encode_traced(None)).unwrap(), req);
-
-    // A traced frame is exactly header + plain frame, so the header cost
-    // is fixed and the inner bytes stay canonical.
+    // Traced: the same body behind 16 more header bytes.
     let ctx = bora_obs::TraceContext { trace_id: 7, parent_span: 9, sampled: true };
-    let traced = req.encode_traced(Some(ctx));
-    assert_eq!(traced.len(), req.encode().len() + TRACE_CTX_LEN);
-    assert_eq!(&traced[TRACE_CTX_LEN..], req.encode().as_slice());
+    let traced = Header { trace: Some(ctx), ..plain };
+    let wire = traced.encode(&req);
+    assert_eq!(wire.len(), plain.encode(&req).len() + 16);
+    assert_eq!(&wire[traced.encoded_len()..], req.encode().as_slice());
+    assert_eq!(Header::decode(&wire).unwrap(), (traced, req));
 }
 
 /// A context with the sampling bit off crosses the wire but must not
@@ -244,8 +247,9 @@ fn unsampled_context_is_carried_but_not_adopted() {
     bora_obs::drain();
 
     let off = bora_obs::TraceContext { trace_id: 42, parent_span: 43, sampled: false };
-    let req = Request::Stats;
-    let (_, decoded) = Request::decode_traced(&req.encode_traced(Some(off))).unwrap();
+    let hdr = Header { trace: Some(off), ..Header::default() };
+    let (decoded, _) = Header::decode(&hdr.encode(&Request::Metrics)).unwrap();
+    let decoded = decoded.trace;
     assert_eq!(decoded, Some(off), "the bit travels; the receiver decides");
 
     // Adoption filters it: spans recorded under it are fresh roots, not
@@ -284,12 +288,12 @@ fn cluster_telemetry_aggregates_live_nodes_and_tracks_deltas() {
     // sum sees all of them regardless of placement.
     let topics_hist = first.aggregate.hist("serve.op.topics.wall_ns").unwrap();
     assert_eq!(topics_hist.count, 2, "two topics calls cluster-wide");
-    assert_eq!(first.aggregate.hist("serve.op.read.wall_ns").unwrap().count, 2);
+    assert_eq!(first.aggregate.hist("serve.op.read_stream.wall_ns").unwrap().count, 2);
     // Per-node counts split the same total.
     let per_node: u64 = first
         .reports
         .iter()
-        .filter_map(|(_, r)| r.hist("serve.op.read.wall_ns"))
+        .filter_map(|(_, r)| r.hist("serve.op.read_stream.wall_ns"))
         .map(|h| h.count)
         .sum();
     assert_eq!(per_node, 2);
@@ -302,7 +306,7 @@ fn cluster_telemetry_aggregates_live_nodes_and_tracks_deltas() {
             .deltas
             .iter()
             .flat_map(|(_, d)| d.iter())
-            .filter(|(name, _)| name == "serve.op.read.wall_ns.count")
+            .filter(|(name, _)| name == "serve.op.read_stream.wall_ns.count")
             .map(|&(_, v)| v)
             .sum()
     };

@@ -139,9 +139,10 @@ fn serve_trace_op_returns_chrome_json_with_request_spans() {
     bora_obs::set_enabled(false);
     assert!(json.contains("\"traceEvents\""));
     assert!(json.contains("\"serve.open\""));
-    assert!(json.contains("\"serve.read\""));
+    // The one read op records its span under the streamed name.
+    assert!(json.contains("\"serve.read_stream\""));
 
-    // Queue-wait telemetry rides the existing STATS op.
+    // Queue-wait telemetry rides the METRICS scrape `stats` projects.
     let snap = client.stats().unwrap();
     assert!(snap.queue_wait_p99_ns >= snap.queue_wait_mean_ns);
 

@@ -333,7 +333,7 @@ fn streamed_reads_survive_transient_faults_via_retry() {
     });
     for round in 0..4 {
         let root = &roots[round % roots.len()];
-        let streamed = client.read_streamed(root, &["/imu"]).unwrap();
+        let streamed = client.read(root, &["/imu"]).unwrap();
         assert_eq!(streamed.len(), healthy.len());
         for (s, b) in streamed.iter().zip(&healthy) {
             assert_eq!((&s.topic, s.time, &s.data), (&b.topic, b.time, &b.data));
@@ -381,22 +381,19 @@ fn abandoned_stream_releases_pin_and_keeps_connection_usable() {
 
 #[test]
 fn client_hangup_mid_stream_aborts_server_side() {
-    use bora_serve::{Request, Response};
+    use bora_serve::{Header, Request, Response};
 
     let fs = Arc::new(MemStorage::new());
     let roots = build_containers(&*fs, 1);
     let server = Server::start(Arc::clone(&fs), ServerConfig::default());
 
     // Emulate a transport whose peer vanishes after the first frame:
-    // `emit` returns false, submit_streamed drops the reply channel, and
-    // the worker's next send aborts the merge.
+    // `emit` returns false, submit drops the reply channel, and the
+    // worker's next send aborts the merge.
     let mut frames = 0u32;
-    let completed = server.submit_streamed(
-        Request::ReadStream {
-            container: roots[0].clone(),
-            topics: vec!["/imu".into()],
-            range: None,
-        },
+    let completed = server.submit(
+        Request::Read { container: roots[0].clone(), topics: vec!["/imu".into()], range: None },
+        &Header::default(),
         &mut |resp| {
             frames += 1;
             assert!(matches!(resp, Response::StreamChunk(_) | Response::StreamEnd { .. }));
@@ -412,8 +409,14 @@ fn client_hangup_mid_stream_aborts_server_side() {
         assert!(std::time::Instant::now() < deadline, "aborted stream pin never released");
         std::thread::yield_now();
     }
-    match server.submit(Request::Stat { container: roots[0].clone() }) {
-        Response::Stat(s) => assert!(s.messages > 0),
+    let mut reply = None;
+    assert!(server.submit(
+        Request::Stat { container: roots[0].clone() },
+        &Header::default(),
+        &mut |resp| reply.replace(resp).is_none(),
+    ));
+    match reply {
+        Some(Response::Stat(s)) => assert!(s.messages > 0),
         other => panic!("server unhealthy after aborted stream: {other:?}"),
     }
 
