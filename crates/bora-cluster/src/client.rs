@@ -2,24 +2,30 @@
 //!
 //! Speaks the bora-serve wire protocol to every node, routes each
 //! container op to the node(s) the [`Ring`] says hold it, and hides
-//! node-level faults:
+//! node-level faults. Every routed request — a unary op, a hedge leg or
+//! a stream leg — takes its replicas from one replica walk, and runs on
+//! a connection leased from the node's [`NodeEndpoint`]:
 //!
 //! * **failover** — a transport fault, `Io`/`ChecksumMismatch` server
 //!   error, or shutting-down node moves the request to the next replica
-//!   (`cluster.failover` counts every such hop);
+//!   (`cluster.failover` counts every such hop). Each hop after the
+//!   first spends a token from the client's shared retry budget, except
+//!   the hop after a failed breaker probe;
 //! * **circuit breaking** — consecutive failures open a per-node
-//!   [`CircuitBreaker`]; an open node is skipped at routing time and
-//!   re-probed after a count-based cooldown;
-//! * **hedging** — when the owner's reply exceeds an adaptive threshold
-//!   (EWMA of observed read latency × a factor), the same read is issued
-//!   to a replica and the first answer wins. `cluster.hedge.issued` /
-//!   `cluster.hedge.wins` export the win rate via bora-obs;
+//!   [`CircuitBreaker`]; the walk asks it only when its node is about to
+//!   be tried, skips an open node, and lets through its periodic probe;
+//! * **hedging** — when the first leg's reply exceeds an adaptive
+//!   threshold (EWMA of observed read latency × a factor), the same read
+//!   is issued to the next replica the walk admits and the first answer
+//!   wins. `cluster.hedge.issued` / `cluster.hedge.wins` export the win
+//!   rate via bora-obs;
 //! * **streaming failover** — [`ClusterStream`] resumes a broken
 //!   `READ` on a replica by re-issuing the query and skipping the
 //!   messages already delivered. The server-side merge order is
 //!   deterministic (`(time, lane)` tie-break), and the stream receiver
 //!   stops at the first missing frame, so the resumed stream is
-//!   byte-identical to an unbroken one;
+//!   byte-identical to an unbroken one. An un-hedged `read` is such a
+//!   stream, collected;
 //! * **cluster-wide merge** — [`MergedStream`] k-way heap-merges the
 //!   per-container streams of many nodes into one chronological stream,
 //!   the same merge shape the server uses per container.
@@ -104,6 +110,10 @@ impl Default for ClusterClientConfig {
 
 /// One node as the router sees it: a transport, a bounded connection
 /// pool, health state, and an in-flight gauge for load-aware routing.
+///
+/// Every request the router sends — unary, hedge leg or stream leg —
+/// runs between one `lease` and one `finish`, so pool, breaker and
+/// gauge have one owner.
 pub struct NodeEndpoint<T: Transport> {
     pub id: NodeId,
     transport: T,
@@ -117,6 +127,20 @@ pub struct NodeEndpoint<T: Transport> {
 /// Connections kept per node beyond which returned ones are dropped.
 const POOL_MAX: usize = 8;
 
+/// How an attempt on a leased connection ended.
+enum Outcome {
+    /// The node answered — a result or an application error — and the
+    /// connection is request-aligned, so it goes back to the pool.
+    Answered,
+    /// A failover-worthy fault: the connection may be desynchronized and
+    /// is dropped.
+    Failed,
+    /// The caller hung up mid-answer. The dropped connection tells the
+    /// server to abort its merge; `answered` says whether the node had
+    /// delivered anything before.
+    Abandoned { answered: bool },
+}
+
 impl<T: Transport> NodeEndpoint<T> {
     fn new(id: NodeId, transport: T, breaker: BreakerConfig, deadline: Option<Duration>) -> Self {
         NodeEndpoint {
@@ -129,58 +153,145 @@ impl<T: Transport> NodeEndpoint<T> {
         }
     }
 
-    fn lease(&self) -> ClientResult<ServeClient<T::Conn>> {
-        let mut client = match self.pool.lock().unwrap().pop() {
+    /// Take a pooled (or fresh) connection and count it in flight until
+    /// `finish`, which also takes back the breaker's failure count at
+    /// lease time. A failed connect counts against the breaker.
+    fn lease(&self) -> ClientResult<(ServeClient<T::Conn>, u64)> {
+        let pooled = self.pool.lock().unwrap().pop();
+        let mut client = match pooled {
             Some(c) => c,
-            None => ServeClient::new(self.transport.connect()?),
+            None => match self.transport.connect() {
+                Ok(conn) => ServeClient::new(conn),
+                Err(e) => {
+                    self.breaker.lock().unwrap().on_failure();
+                    return Err(e.into());
+                }
+            },
         };
         client.set_deadline(self.deadline);
-        Ok(client)
+        self.inflight.fetch_add(1, Ordering::Relaxed);
+        Ok((client, self.breaker.lock().unwrap().failures()))
     }
 
-    fn release(&self, client: ServeClient<T::Conn>) {
-        let mut pool = self.pool.lock().unwrap();
-        if pool.len() < POOL_MAX {
-            pool.push(client);
+    /// End a leased attempt: settle the in-flight gauge, tell the breaker
+    /// how the node did, and pool the connection if it is still aligned.
+    fn finish(&self, client: ServeClient<T::Conn>, since: u64, outcome: Outcome) {
+        self.inflight.fetch_sub(1, Ordering::Relaxed);
+        let mut breaker = self.breaker.lock().unwrap();
+        match outcome {
+            Outcome::Answered => {
+                breaker.on_success(since);
+                drop(breaker);
+                let mut pool = self.pool.lock().unwrap();
+                if pool.len() < POOL_MAX {
+                    pool.push(client);
+                }
+            }
+            Outcome::Failed => breaker.on_failure(),
+            Outcome::Abandoned { answered: true } => breaker.on_success(since),
+            Outcome::Abandoned { answered: false } => breaker.on_abandon(),
         }
+    }
+
+    /// One unary request: lease, run `op`, finish.
+    fn attempt<R>(
+        &self,
+        op: impl FnOnce(&mut ServeClient<T::Conn>) -> ClientResult<R>,
+    ) -> ClientResult<R> {
+        let (mut client, since) = self.lease()?;
+        let res = op(&mut client);
+        let failed = matches!(&res, Err(e) if should_failover(e));
+        self.finish(client, since, if failed { Outcome::Failed } else { Outcome::Answered });
+        res
     }
 
     pub fn breaker_state(&self) -> BreakerState {
         self.breaker.lock().unwrap().state()
     }
+}
 
-    /// Run one request against this node, maintaining pool, breaker and
-    /// in-flight accounting. A failover-worthy error drops the
-    /// connection (it may be desynchronized); an application-level error
-    /// keeps it (the node answered correctly — the request was wrong).
-    fn attempt<R>(
-        &self,
-        op: &mut dyn FnMut(&mut ServeClient<T::Conn>) -> ClientResult<R>,
-    ) -> ClientResult<R> {
-        let mut client = match self.lease() {
-            Ok(c) => c,
-            Err(e) => {
-                self.breaker.lock().unwrap().on_failure();
-                return Err(e);
+/// A replica a `ReplicaWalk` admitted; `probe` marks its breaker's
+/// single HalfOpen probe.
+struct Hop<T: Transport> {
+    ep: Arc<NodeEndpoint<T>>,
+    probe: bool,
+}
+
+/// One routed request's walk over its container's replicas — the only
+/// place the router picks a node, for unary calls, hedge legs and
+/// stream legs alike.
+///
+/// The walk follows ring (or `Spread`) order and asks a breaker only
+/// when its node is about to be tried: `allow` turns the
+/// `probe_interval`-th denial into the node's one probe, so admission
+/// is never precomputed over the whole set. If every breaker denies, the
+/// walk makes one pass that ignores them — a fully-tripped cluster must
+/// still probe its way back.
+struct ReplicaWalk<T: Transport> {
+    eps: Vec<Arc<NodeEndpoint<T>>>,
+    next: usize,
+    /// The breaker-ignoring pass is running.
+    forced: bool,
+    /// A hop was admitted.
+    started: bool,
+    budget: Option<Arc<Mutex<RetryBudget>>>,
+}
+
+impl<T: Transport> ReplicaWalk<T> {
+    /// The next replica to try, without touching the retry budget (the
+    /// first hop and hedges); `None` once the walk is exhausted.
+    fn hop(&mut self) -> Option<Hop<T>> {
+        loop {
+            while let Some(ep) = self.eps.get(self.next) {
+                self.next += 1;
+                let probe = if self.forced {
+                    false
+                } else {
+                    let mut breaker = ep.breaker.lock().unwrap();
+                    if !breaker.allow() {
+                        continue;
+                    }
+                    breaker.state() == BreakerState::HalfOpen
+                };
+                self.started = true;
+                return Some(Hop { ep: Arc::clone(ep), probe });
             }
-        };
-        self.inflight.fetch_add(1, Ordering::Relaxed);
-        let res = op(&mut client);
-        self.inflight.fetch_sub(1, Ordering::Relaxed);
-        match &res {
-            Ok(_) => {
-                self.breaker.lock().unwrap().on_success();
-                self.release(client);
+            if self.forced || self.started {
+                return None;
             }
-            Err(e) if should_failover(e) => {
-                self.breaker.lock().unwrap().on_failure();
-            }
-            Err(_) => {
-                self.breaker.lock().unwrap().on_success();
-                self.release(client);
-            }
+            self.forced = true;
+            self.next = 0;
         }
-        res
+    }
+
+    /// The hop after a failover-worthy `err`, counted in
+    /// `cluster.failover`. It spends a retry-budget token, so with the
+    /// bucket empty the error surfaces instead of every caller walking
+    /// the replica set. The hop after a failed breaker probe is exempt,
+    /// as hedges are: the breaker already limits probes to one per
+    /// `probe_interval`, and charging them would let a dead replica
+    /// drain the bucket one probe at a time. Returns `err` when the walk
+    /// is exhausted or the budget denies.
+    fn failover(&mut self, after_probe: bool, err: ClientError) -> ClientResult<Hop<T>> {
+        let Some(hop) = self.hop() else { return Err(err) };
+        let denied =
+            !after_probe && self.budget.as_ref().is_some_and(|b| !b.lock().unwrap().try_spend());
+        if denied {
+            if hop.probe {
+                hop.ep.breaker.lock().unwrap().on_abandon();
+            }
+            bora_obs::counter("cluster.retry_budget_denied").inc();
+            return Err(err);
+        }
+        bora_obs::counter("cluster.failover").inc();
+        Ok(hop)
+    }
+
+    /// The request succeeded: earn back a fraction of a budget token.
+    fn on_success(&self) {
+        if let Some(b) = &self.budget {
+            b.lock().unwrap().on_success();
+        }
     }
 }
 
@@ -271,21 +382,6 @@ where
         })
     }
 
-    /// Spend one budget token for a failover hop; `true` when allowed
-    /// (or no budget is configured).
-    fn try_spend_budget(&self) -> bool {
-        match &self.budget {
-            None => true,
-            Some(b) => b.lock().unwrap().try_spend(),
-        }
-    }
-
-    fn budget_on_success(&self) {
-        if let Some(b) = &self.budget {
-            b.lock().unwrap().on_success();
-        }
-    }
-
     pub fn ring(&self) -> Arc<RwLock<Ring>> {
         Arc::clone(&self.ring)
     }
@@ -298,11 +394,10 @@ where
         self.ring.read().unwrap().owner(container)
     }
 
-    /// Replica endpoints in attempt order under the configured policy.
-    fn ordered(&self, container: &str) -> Vec<Arc<NodeEndpoint<T>>> {
-        let replicas = self.ring.read().unwrap().replicas(container);
-        let mut eps: Vec<_> =
-            replicas.iter().filter_map(|id| self.nodes.get(id)).map(Arc::clone).collect();
+    /// Start a walk over `container`'s replicas in attempt order under
+    /// the configured policy, with its first hop admitted.
+    fn walk(&self, container: &str) -> ClientResult<(ReplicaWalk<T>, Hop<T>)> {
+        let mut eps = self.ring_ordered(container);
         if matches!(self.cfg.policy, RoutePolicy::Spread) && eps.len() > 1 {
             let rr = self.rr.fetch_add(1, Ordering::Relaxed) % eps.len();
             eps.rotate_left(rr);
@@ -310,66 +405,46 @@ where
             // round-robin instead of always favouring the lowest id.
             eps.sort_by_key(|ep| ep.inflight.load(Ordering::Relaxed));
         }
-        eps
+        let mut walk = ReplicaWalk {
+            eps,
+            next: 0,
+            forced: false,
+            started: false,
+            budget: self.budget.clone(),
+        };
+        let first = walk.hop().ok_or_else(|| no_nodes(container))?;
+        Ok((walk, first))
     }
 
-    /// Try `op` on each replica in order until one answers. Nodes whose
-    /// breaker denies are skipped — unless every node is denied, in
-    /// which case the breakers are overridden (a fully-tripped cluster
-    /// must still probe its way back).
+    /// Try `op` on each replica the walk admits until one answers.
     fn with_failover<R>(
         &self,
         container: &str,
         mut op: impl FnMut(&mut ServeClient<T::Conn>) -> ClientResult<R>,
     ) -> ClientResult<R> {
-        let eps = self.ordered(container);
-        if eps.is_empty() {
-            return Err(no_nodes(container));
-        }
-        let mut last: Option<ClientError> = None;
-        for ignore_breaker in [false, true] {
-            let mut attempted = false;
-            for ep in &eps {
-                if !ignore_breaker && !ep.breaker.lock().unwrap().allow() {
-                    continue;
+        let (mut walk, mut hop) = self.walk(container)?;
+        loop {
+            // One span per attempt: in a merged trace, failover shows up
+            // as sibling attempt spans, the abandoned ones marked
+            // cancelled. Server-side spans parent under the attempt
+            // (roundtrip propagates the innermost open span).
+            let sp = bora_obs::span("cluster.attempt");
+            match hop.ep.attempt(&mut op) {
+                Ok(v) => {
+                    sp.end();
+                    walk.on_success();
+                    return Ok(v);
                 }
-                if attempted {
-                    // Every hop beyond the first spends a budget token:
-                    // with the bucket empty the first error surfaces
-                    // instead of every caller walking the replica set.
-                    if !self.try_spend_budget() {
-                        bora_obs::counter("cluster.retry_budget_denied").inc();
-                        return Err(last.unwrap_or_else(|| no_nodes(container)));
-                    }
-                    bora_obs::counter("cluster.failover").inc();
+                Err(e) if should_failover(&e) => {
+                    sp.cancel();
+                    hop = walk.failover(hop.probe, e)?;
                 }
-                attempted = true;
-                // One span per attempt: in a merged trace, failover shows
-                // up as sibling attempt spans, the abandoned ones marked
-                // cancelled. Server-side spans parent under the attempt
-                // (roundtrip propagates the innermost open span).
-                let sp = bora_obs::span("cluster.attempt");
-                match ep.attempt(&mut op) {
-                    Ok(v) => {
-                        sp.end();
-                        self.budget_on_success();
-                        return Ok(v);
-                    }
-                    Err(e) if should_failover(&e) => {
-                        sp.cancel();
-                        last = Some(e);
-                    }
-                    Err(e) => {
-                        sp.end();
-                        return Err(e);
-                    }
+                Err(e) => {
+                    sp.end();
+                    return Err(e);
                 }
             }
-            if attempted {
-                break;
-            }
         }
-        Err(last.unwrap_or_else(|| no_nodes(container)))
     }
 
     pub fn open(&self, container: &str) -> ClientResult<bora_serve::ContainerStat> {
@@ -413,7 +488,7 @@ where
         }
         let mut owner_ack = None;
         for ep in &eps {
-            let ack = ep.attempt(&mut |c| c.append(container, messages.to_vec()))?;
+            let ack = ep.attempt(|c| c.append(container, messages.to_vec()))?;
             owner_ack.get_or_insert(ack);
             bora_obs::counter("cluster.append.replica_acks").inc();
         }
@@ -431,7 +506,7 @@ where
         }
         let mut owner_ack = None;
         for ep in &eps {
-            let ack = ep.attempt(&mut |c| c.seal(container, compact))?;
+            let ack = ep.attempt(|c| c.seal(container, compact))?;
             owner_ack.get_or_insert(ack);
         }
         Ok(owner_ack.expect("non-empty replica set acked"))
@@ -461,11 +536,10 @@ where
         if self.cfg.hedge.is_some() {
             return self.read_hedged(container, topics, range);
         }
+        // A collected stream: a read that breaks resumes on a replica
+        // instead of re-reading from the start.
         let started = Instant::now();
-        let out = self.with_failover(container, |c| match range {
-            Some((s, e)) => c.read_time(container, topics, s, e),
-            None => c.read(container, topics),
-        });
+        let out: ClientResult<Vec<_>> = self.read_stream_inner(container, topics, range)?.collect();
         if out.is_ok() {
             self.note_read_latency(started.elapsed());
         }
@@ -485,30 +559,20 @@ where
         h.min_threshold.max(Duration::from_nanos((h.factor * ewma) as u64))
     }
 
-    /// Hedged read: issue to the first candidate; if no answer within
-    /// the adaptive threshold, issue the identical read to the second
-    /// and take whichever returns first. Replicas hold identical data
-    /// and the read path is deterministic, so both answers are equal —
-    /// the hedge trades duplicate work for tail latency only.
+    /// Hedged read: issue to the first replica the walk admits; if no
+    /// answer within the adaptive threshold, issue the identical read to
+    /// the next admitted one and take whichever returns first. Replicas
+    /// hold identical data and the read path is deterministic, so both
+    /// answers are equal — the hedge trades duplicate work for tail
+    /// latency only. When every running leg failed, the walk fails over
+    /// like any other request.
     fn read_hedged(
         &self,
         container: &str,
         topics: &[&str],
         range: Option<(Time, Time)>,
     ) -> ClientResult<Vec<WireMessage>> {
-        let eps = self.ordered(container);
-        if eps.len() < 2 {
-            let started = Instant::now();
-            let out = self.with_failover(container, |c| match range {
-                Some((s, e)) => c.read_time(container, topics, s, e),
-                None => c.read(container, topics),
-            });
-            if out.is_ok() {
-                self.note_read_latency(started.elapsed());
-            }
-            return out;
-        }
-
+        let (mut walk, first) = self.walk(container)?;
         let (tx, rx) = channel::unbounded();
         // Legs run on their own threads: each adopts the read's context so
         // its spans (and the server's) stay in the trace tree, and the
@@ -517,7 +581,7 @@ where
         // visible as abandoned siblings in the merged timeline.
         let winner = Arc::new(AtomicUsize::new(usize::MAX));
         let pctx = bora_obs::current_context();
-        let spawn_read = |ep: Arc<NodeEndpoint<T>>, idx: usize| {
+        let spawn_leg = |hop: Hop<T>, idx: usize| {
             let tx = tx.clone();
             let winner = Arc::clone(&winner);
             let container = container.to_owned();
@@ -526,7 +590,7 @@ where
                 let _ctx = bora_obs::adopt_context(pctx);
                 let leg = bora_obs::span("cluster.hedge_leg");
                 let started = Instant::now();
-                let res = ep.attempt(&mut |c: &mut ServeClient<T::Conn>| {
+                let res = hop.ep.attempt(|c| {
                     let ts: Vec<&str> = topics.iter().map(String::as_str).collect();
                     match range {
                         Some((s, e)) => c.read_time(&container, &ts, s, e),
@@ -542,68 +606,57 @@ where
                 } else {
                     leg.cancel();
                 }
-                // Receiver gone means the other leg already won — the
+                // Receiver gone means another leg already won — the
                 // attempt above still ran to completion, keeping its
                 // connection aligned and back in the pool.
-                let _ = tx.send((idx, started.elapsed(), res));
+                let _ = tx.send((idx, hop.probe, started.elapsed(), res));
             });
         };
 
-        spawn_read(Arc::clone(&eps[0]), 0);
-        let first = match rx.recv_timeout(self.hedge_threshold()) {
-            Ok(msg) => Some(msg),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => unreachable!("tx held by this scope"),
-        };
-
-        match first {
-            Some((_, lat, Ok(v))) => {
-                self.note_read_latency(lat);
-                self.budget_on_success();
-                Ok(v)
-            }
-            Some((_, _, Err(e))) if !should_failover(&e) => Err(e),
-            Some((_, _, Err(e))) => {
-                // Primary failed fast: this is a failover, not a hedge,
-                // so it spends a retry-budget token like any other hop.
-                if !self.try_spend_budget() {
-                    bora_obs::counter("cluster.retry_budget_denied").inc();
-                    return Err(e);
+        spawn_leg(first, 0);
+        let (mut legs, mut running) = (1, 1);
+        let (mut hedged, mut hedge_leg, mut after_probe) = (false, None, false);
+        loop {
+            let next = if hedged {
+                Ok(rx.recv().expect("a leg is running"))
+            } else {
+                rx.recv_timeout(self.hedge_threshold())
+            };
+            let (idx, probe, lat, res) = match next {
+                Ok(msg) => msg,
+                Err(RecvTimeoutError::Timeout) => {
+                    // Primary slow: hedge to the next admitted replica,
+                    // first answer wins. Deliberately budget-exempt — the
+                    // primary has not failed, and throttling hedges would
+                    // re-create the tail latency they exist to cut.
+                    hedged = true;
+                    if let Some(hop) = walk.hop() {
+                        bora_obs::counter("cluster.hedge.issued").inc();
+                        spawn_leg(hop, legs);
+                        hedge_leg = Some(legs);
+                        (legs, running) = (legs + 1, running + 1);
+                    }
+                    continue;
                 }
-                bora_obs::counter("cluster.failover").inc();
-                spawn_read(Arc::clone(&eps[1]), 1);
-                let (_, lat, res) = rx.recv().expect("hedge leg sender alive");
-                if res.is_ok() {
+                Err(RecvTimeoutError::Disconnected) => unreachable!("tx held by this scope"),
+            };
+            running -= 1;
+            match res {
+                Ok(v) => {
+                    if hedge_leg == Some(idx) {
+                        bora_obs::counter("cluster.hedge.wins").inc();
+                    }
                     self.note_read_latency(lat);
-                    self.budget_on_success();
+                    walk.on_success();
+                    return Ok(v);
                 }
-                res
-            }
-            None => {
-                // Primary slow: hedge to the replica, first answer wins.
-                // Deliberately budget-exempt — the primary has not
-                // failed, and throttling hedges would re-create the tail
-                // latency they exist to cut.
-                bora_obs::counter("cluster.hedge.issued").inc();
-                spawn_read(Arc::clone(&eps[1]), 1);
-                let mut errors = 0;
-                loop {
-                    let (idx, lat, res) = rx.recv().expect("hedge leg sender alive");
-                    match res {
-                        Ok(v) => {
-                            if idx == 1 {
-                                bora_obs::counter("cluster.hedge.wins").inc();
-                            }
-                            self.note_read_latency(lat);
-                            self.budget_on_success();
-                            return Ok(v);
-                        }
-                        Err(e) => {
-                            errors += 1;
-                            if errors == 2 {
-                                return Err(e);
-                            }
-                        }
+                Err(e) if !should_failover(&e) => return Err(e),
+                Err(e) => {
+                    after_probe |= probe;
+                    if running == 0 {
+                        let hop = walk.failover(std::mem::take(&mut after_probe), e)?;
+                        spawn_leg(hop, legs);
+                        (legs, running) = (legs + 1, 1);
                     }
                 }
             }
@@ -632,14 +685,10 @@ where
         topics: &[&str],
         range: Option<(Time, Time)>,
     ) -> ClientResult<ClusterStream<T>> {
-        let eps = self.ordered(container);
-        if eps.is_empty() {
-            return Err(no_nodes(container));
-        }
+        let (walk, first) = self.walk(container)?;
         let mut stream = ClusterStream {
-            eps,
-            cursor: 0,
-            current: None,
+            walk,
+            leg: None,
             container: container.to_owned(),
             topics: topics.iter().map(|t| (*t).to_owned()).collect(),
             range,
@@ -648,10 +697,8 @@ where
             fetched: 0,
             yielded: 0,
             done: false,
-            deadline: self.cfg.deadline,
-            budget: self.budget.clone(),
         };
-        stream.connect_next()?;
+        stream.start(first)?;
         Ok(stream)
     }
 
@@ -764,50 +811,51 @@ where
         })
     }
 
-    /// Health-probe one node directly (not routed through the ring).
-    pub fn ping(&self, node: NodeId) -> ClientResult<PingInfo> {
+    /// Run `op` on one named node, not routed through the ring. A pooled
+    /// connection can die while parked — the peer answers its last
+    /// request, then begins shutting down and closes before the next
+    /// lease — so an I/O failure retries once on a fresh connection (the
+    /// failed attempt dropped the stale one). Every per-node op is
+    /// idempotent control-plane, and a node that is *actually*
+    /// unreachable just fails twice.
+    fn on_node<R>(
+        &self,
+        node: NodeId,
+        mut op: impl FnMut(&mut ServeClient<T::Conn>) -> ClientResult<R>,
+    ) -> ClientResult<R> {
         let ep = self.nodes.get(&node).ok_or_else(|| no_nodes(&format!("node {node}")))?;
-        ep.attempt(&mut |c| c.ping())
+        match ep.attempt(&mut op) {
+            Err(ClientError::Io(_)) => ep.attempt(op),
+            res => res,
+        }
+    }
+
+    /// Health-probe one node directly.
+    pub fn ping(&self, node: NodeId) -> ClientResult<PingInfo> {
+        self.on_node(node, |c| c.ping())
     }
 
     /// Probe every node; the per-node result doubles as liveness.
     pub fn ping_all(&self) -> Vec<(NodeId, ClientResult<PingInfo>)> {
-        self.nodes.iter().map(|(id, ep)| (*id, ep.attempt(&mut |c| c.ping()))).collect()
+        self.nodes.keys().map(|&id| (id, self.ping(id))).collect()
     }
 
     /// One node's [`StatsSnapshot`] (virtual-time accounting lives
     /// here), projected from its `METRICS` scrape.
     pub fn node_stats(&self, node: NodeId) -> ClientResult<StatsSnapshot> {
-        let ep = self.nodes.get(&node).ok_or_else(|| no_nodes(&format!("node {node}")))?;
-        ep.attempt(&mut |c| c.stats())
+        self.on_node(node, |c| c.stats())
     }
 
     /// One node's full `METRICS` scrape (registry + slow-op tail) — what
     /// the telemetry poller aggregates across the fleet.
     pub fn node_metrics(&self, node: NodeId) -> ClientResult<MetricsReport> {
-        let ep = self.nodes.get(&node).ok_or_else(|| no_nodes(&format!("node {node}")))?;
-        ep.attempt(&mut |c| c.metrics())
+        self.on_node(node, |c| c.metrics())
     }
 
-    /// Every reachable node's `METRICS` scrape; unreachable nodes report
-    /// their error (the poller counts them, it does not fail the sweep).
+    /// Every node's `METRICS` scrape; unreachable nodes report their
+    /// error (the poller counts them, it does not fail the sweep).
     pub fn metrics_all(&self) -> Vec<(NodeId, ClientResult<MetricsReport>)> {
-        self.nodes
-            .iter()
-            .map(|(id, ep)| {
-                let mut res = ep.attempt(&mut |c| c.metrics());
-                // A pooled connection can die while parked: the peer
-                // answers its last request, then begins shutting down and
-                // closes before the next lease. The failed attempt drops
-                // the stale connection, so one retry runs on a fresh one —
-                // METRICS is idempotent control-plane, and a node that is
-                // *actually* unreachable just fails twice.
-                if matches!(res, Err(ClientError::Io(_))) {
-                    res = ep.attempt(&mut |c| c.metrics());
-                }
-                (*id, res)
-            })
-            .collect()
+        self.nodes.keys().map(|&id| (id, self.node_metrics(id))).collect()
     }
 
     /// Breaker state per node, for observability.
@@ -818,22 +866,36 @@ where
 
 // ----------------------------------------------------------------- stream
 
-/// The node currently serving a [`ClusterStream`], and its connection.
-type StreamLeg<T> = (Arc<NodeEndpoint<T>>, ServeClient<<T as Transport>::Conn>);
+/// The node currently serving a [`ClusterStream`], and its leased
+/// connection.
+struct StreamLeg<T: Transport> {
+    ep: Arc<NodeEndpoint<T>>,
+    client: ServeClient<T::Conn>,
+    /// The breaker's failure count when the leg was leased.
+    since: u64,
+    /// The leg is its node's breaker probe.
+    probe: bool,
+    /// The node has delivered at least one chunk on this leg.
+    answered: bool,
+}
 
 /// A cluster-routed `READ` with mid-stream failover.
 ///
 /// If the serving node dies mid-stream, the identical query is re-issued
-/// to the next replica and the first `fetched` messages of the re-issue
-/// are skipped. Both nodes merge the same container with the same
-/// deterministic `(time, lane)` order, and the node's stream receiver
-/// ([`ServeClient::recv_chunk`]) fails at the first lost, duplicated or
-/// reordered frame instead of passing a damaged batch on, so the resumed
-/// tail continues the broken stream byte-for-byte.
+/// to the next replica the walk admits and the first `fetched` messages
+/// of the re-issue are skipped. Both nodes merge the same container with
+/// the same deterministic `(time, lane)` order, and the node's stream
+/// receiver ([`ServeClient::recv_chunk`]) fails at the first lost,
+/// duplicated or reordered frame instead of passing a damaged batch on,
+/// so the resumed tail continues the broken stream byte-for-byte.
+///
+/// Each leg runs on a pooled connection and counts as in flight on its
+/// node until `StreamEnd` returns the connection to the pool. A stream
+/// dropped early drops its connection instead: the hang-up aborts the
+/// server-side merge.
 pub struct ClusterStream<T: Transport> {
-    eps: Vec<Arc<NodeEndpoint<T>>>,
-    cursor: usize,
-    current: Option<StreamLeg<T>>,
+    walk: ReplicaWalk<T>,
+    leg: Option<StreamLeg<T>>,
     container: String,
     topics: Vec<String>,
     range: Option<(Time, Time)>,
@@ -845,12 +907,6 @@ pub struct ClusterStream<T: Transport> {
     /// Messages handed to the consumer.
     yielded: u64,
     done: bool,
-    /// Deadline budget stamped on each (re-)issued stream request.
-    deadline: Option<Duration>,
-    /// The owning client's shared retry budget: each mid-stream failover
-    /// spends a token, so a flapping network cannot turn one stream into
-    /// an unbounded reconnect storm.
-    budget: Option<Arc<Mutex<RetryBudget>>>,
 }
 
 impl<T: Transport> ClusterStream<T> {
@@ -858,66 +914,41 @@ impl<T: Transport> ClusterStream<T> {
         self.yielded
     }
 
-    fn connect_next(&mut self) -> ClientResult<()> {
-        let mut last: Option<ClientError> = None;
-        while self.cursor < self.eps.len() {
-            let ep = Arc::clone(&self.eps[self.cursor]);
-            self.cursor += 1;
-            // Propagate whatever span is open at (re)connect time — for a
-            // mid-stream failover that is still the caller's span, so the
-            // resumed stream stays in the same trace tree.
-            let sent = ServeClient::connect(&ep.transport).and_then(|mut client| {
-                client.set_deadline(self.deadline);
-                client.send_read(&self.container, self.topics.clone(), self.range)?;
-                Ok(client)
+    /// Issue the read on `hop`'s node, walking on while the request
+    /// cannot even be sent. The request propagates whatever span is open
+    /// — for a mid-stream failover that is still the caller's span, so
+    /// the resumed stream stays in the same trace tree.
+    fn start(&mut self, mut hop: Hop<T>) -> ClientResult<()> {
+        loop {
+            let sent = hop.ep.lease().and_then(|(mut client, since)| {
+                match client.send_read(&self.container, self.topics.clone(), self.range) {
+                    Ok(()) => Ok((client, since)),
+                    Err(e) => {
+                        hop.ep.finish(client, since, Outcome::Failed);
+                        Err(e)
+                    }
+                }
             });
             match sent {
-                Ok(client) => {
+                Ok((client, since)) => {
                     self.skip = self.fetched;
-                    self.current = Some((ep, client));
+                    let (ep, probe) = (hop.ep, hop.probe);
+                    self.leg = Some(StreamLeg { ep, client, since, probe, answered: false });
                     return Ok(());
                 }
-                Err(e) => {
-                    ep.breaker.lock().unwrap().on_failure();
-                    last = Some(e);
-                }
+                Err(e) => hop = self.walk.failover(hop.probe, e)?,
             }
         }
-        Err(last.unwrap_or_else(|| no_nodes(&self.container)))
-    }
-
-    fn failover(&mut self) -> Option<ClientError> {
-        if let Some((ep, _)) = self.current.take() {
-            ep.breaker.lock().unwrap().on_failure();
-        }
-        // A stream resume is a retry like any other: it spends from the
-        // client's shared budget, and an empty bucket ends the stream
-        // with an error instead of hammering the surviving replicas.
-        if let Some(b) = &self.budget {
-            if !b.lock().unwrap().try_spend() {
-                bora_obs::counter("cluster.retry_budget_denied").inc();
-                return Some(ClientError::Io(std::io::Error::other(format!(
-                    "retry budget exhausted resuming stream of {}",
-                    self.container
-                ))));
-            }
-        }
-        bora_obs::counter("cluster.failover").inc();
-        self.connect_next().err()
     }
 
     /// Pull frames until the buffer has a message, the stream ends, or
     /// an unrecoverable error surfaces.
-    fn fill(&mut self) -> Option<ClientError> {
-        loop {
-            if self.done || !self.buffer.is_empty() {
-                return None;
-            }
-            let Some((_, client)) = self.current.as_mut() else {
-                return Some(no_nodes(&self.container));
-            };
-            match client.recv_chunk() {
+    fn fill(&mut self) -> ClientResult<()> {
+        while !self.done && self.buffer.is_empty() {
+            let leg = self.leg.as_mut().ok_or_else(|| no_nodes(&self.container))?;
+            match leg.client.recv_chunk() {
                 Ok(Some(msgs)) => {
+                    leg.answered = true;
                     // Skip the prefix a failed-over stream already
                     // delivered; every chunk before the break arrived
                     // whole and in order, so the count is exact.
@@ -926,28 +957,33 @@ impl<T: Transport> ClusterStream<T> {
                     self.buffer.extend(msgs.into_iter().skip(skip as usize));
                     self.fetched += self.buffer.len() as u64;
                 }
-                Ok(None) => {
-                    if let Some((ep, _)) = self.current.take() {
-                        ep.breaker.lock().unwrap().on_success();
-                    }
-                    if let Some(b) = &self.budget {
-                        b.lock().unwrap().on_success();
-                    }
-                    self.done = true;
-                }
                 // Transport faults, overload, transient server errors and
                 // a damaged stream (lost, duplicated or reordered frame)
                 // all resume on the next replica.
                 Err(e) if should_failover(&e) => {
-                    if let Some(e) = self.failover() {
-                        return Some(e);
-                    }
+                    let leg = self.leg.take().expect("leg is live");
+                    leg.ep.finish(leg.client, leg.since, Outcome::Failed);
+                    let hop = self.walk.failover(leg.probe, e)?;
+                    self.start(hop)?;
                 }
-                Err(e) => {
+                end => {
+                    let leg = self.leg.take().expect("leg is live");
+                    leg.ep.finish(leg.client, leg.since, Outcome::Answered);
                     self.done = true;
-                    return Some(e);
+                    end?;
+                    self.walk.on_success();
                 }
             }
+        }
+        Ok(())
+    }
+}
+
+impl<T: Transport> Drop for ClusterStream<T> {
+    fn drop(&mut self) {
+        if let Some(leg) = self.leg.take() {
+            let outcome = Outcome::Abandoned { answered: leg.answered };
+            leg.ep.finish(leg.client, leg.since, outcome);
         }
     }
 }
@@ -963,7 +999,7 @@ impl<T: Transport> Iterator for ClusterStream<T> {
         if self.done {
             return None;
         }
-        if let Some(e) = self.fill() {
+        if let Err(e) = self.fill() {
             self.done = true;
             return Some(Err(e));
         }

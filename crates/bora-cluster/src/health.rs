@@ -7,6 +7,10 @@
 //! rate, which makes "skip `probe_interval` requests, then probe once"
 //! behave like a time-based cooldown under load — without the flake.
 //!
+//! Only fresh evidence moves it toward health: a success from a request
+//! admitted before the latest failure (say, a dying node draining the
+//! requests queued before it went down) is stale and changes nothing.
+//!
 //! ```text
 //!        failure_threshold consecutive failures
 //! Closed ────────────────────────────────────▶ Open
@@ -50,6 +54,8 @@ pub struct CircuitBreaker {
     state: BreakerState,
     consecutive_failures: u32,
     denied_since_open: u32,
+    /// Failures recorded over the breaker's life.
+    failures: u64,
 }
 
 impl CircuitBreaker {
@@ -59,6 +65,7 @@ impl CircuitBreaker {
             state: BreakerState::Closed,
             consecutive_failures: 0,
             denied_since_open: 0,
+            failures: 0,
         }
     }
 
@@ -84,13 +91,26 @@ impl CircuitBreaker {
         }
     }
 
-    pub fn on_success(&mut self) {
+    /// Failures recorded so far. Read it when a request is admitted and
+    /// hand it back to [`CircuitBreaker::on_success`].
+    pub fn failures(&self) -> u64 {
+        self.failures
+    }
+
+    /// A request admitted when [`CircuitBreaker::failures`] read `since`
+    /// succeeded. Stale if a failure was recorded after its admission:
+    /// then it neither closes the breaker nor resets the failure streak.
+    pub fn on_success(&mut self, since: u64) {
+        if since != self.failures {
+            return;
+        }
         self.state = BreakerState::Closed;
         self.consecutive_failures = 0;
         self.denied_since_open = 0;
     }
 
     pub fn on_failure(&mut self) {
+        self.failures += 1;
         match self.state {
             BreakerState::HalfOpen => {
                 // Failed probe: back to Open, restart the denial count.
@@ -106,6 +126,18 @@ impl CircuitBreaker {
                     bora_obs::counter("cluster.breaker_open").inc();
                 }
             }
+        }
+    }
+
+    /// An admitted request ended without a verdict: it was never sent,
+    /// or its caller hung up before the node answered anything. Only a
+    /// pending probe needs settling — it goes back to Open, so the next
+    /// probe comes after another `probe_interval` denials instead of the
+    /// breaker waiting in HalfOpen for an answer that will never come.
+    pub fn on_abandon(&mut self) {
+        if self.state == BreakerState::HalfOpen {
+            self.state = BreakerState::Open;
+            self.denied_since_open = 0;
         }
     }
 }
@@ -124,7 +156,7 @@ mod tests {
         b.on_failure();
         b.on_failure();
         assert_eq!(b.state(), BreakerState::Closed, "below threshold");
-        b.on_success(); // success resets the streak
+        b.on_success(b.failures()); // success resets the streak
         b.on_failure();
         b.on_failure();
         assert_eq!(b.state(), BreakerState::Closed);
@@ -162,8 +194,41 @@ mod tests {
         for _ in 0..4 {
             b.allow();
         }
-        b.on_success();
+        b.on_success(b.failures());
         assert_eq!(b.state(), BreakerState::Closed, "healed probe closes");
         assert!(b.allow());
+    }
+
+    #[test]
+    fn stale_success_neither_resets_nor_closes() {
+        let mut b = breaker();
+        let since = b.failures();
+        b.on_failure();
+        b.on_failure();
+        b.on_success(since); // admitted before both failures
+        b.on_failure();
+        assert_eq!(b.state(), BreakerState::Open, "the streak survived a stale success");
+        b.on_success(since);
+        assert_eq!(b.state(), BreakerState::Open, "a stale success does not close");
+        b.on_success(b.failures());
+        assert_eq!(b.state(), BreakerState::Closed, "a fresh one does");
+    }
+
+    #[test]
+    fn abandoned_probe_reopens_and_probes_again() {
+        let mut b = breaker();
+        b.on_abandon();
+        assert_eq!(b.state(), BreakerState::Closed, "nothing to settle while Closed");
+        for _ in 0..3 {
+            b.on_failure();
+        }
+        for _ in 0..4 {
+            b.allow();
+        }
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        b.on_abandon();
+        assert_eq!(b.state(), BreakerState::Open, "withdrawn probe reopens");
+        assert!(!b.allow() && !b.allow() && !b.allow());
+        assert!(b.allow(), "a fresh probe after another probe_interval");
     }
 }

@@ -93,8 +93,10 @@ pub fn decode_rows(bytes: &[u8]) -> QueryResult<Vec<Row>> {
     }
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
+        // A cell costs at least its 1-byte tag: reserve no more cells
+        // than the bytes left could hold.
         let cells = r.u16()? as usize;
-        let mut row = Vec::with_capacity(cells);
+        let mut row = Vec::with_capacity(cells.min(bytes.len() - r.at));
         for _ in 0..cells {
             let v = match r.u8()? {
                 TAG_NULL => Value::Null,

@@ -3,12 +3,12 @@
 //! protocol is strictly request/response); open more connections for
 //! parallelism.
 //!
-//! [`RetryClient`] wraps the same API with fault tolerance: per-request
-//! timeouts, automatic reconnect when the stream breaks or
-//! desynchronizes, and capped exponential backoff with deterministic
-//! jitter for transient errors. Permanent errors (unknown topic, not a
-//! container, structural corruption, bad request) surface immediately —
-//! retrying them would only hide a bug.
+//! [`RetryClient`] runs any of those calls with fault tolerance through
+//! one [`RetryClient::call`]: per-request timeouts, automatic reconnect
+//! when the stream breaks or desynchronizes, and capped exponential
+//! backoff with deterministic jitter for transient errors. Permanent
+//! errors (unknown topic, not a container, structural corruption, bad
+//! request) surface immediately — retrying them would only hide a bug.
 
 use std::time::{Duration, Instant};
 
@@ -252,7 +252,7 @@ impl<C: Connection> ServeClient<C> {
 
     /// Read messages of `topics`, collecting the streamed answer.
     pub fn read(&mut self, container: &str, topics: &[&str]) -> ClientResult<Vec<WireMessage>> {
-        self.read_inner(container, topics, None)
+        self.read_stream_inner(container, topics, None)?.collect()
     }
 
     pub fn read_time(
@@ -262,16 +262,7 @@ impl<C: Connection> ServeClient<C> {
         start: Time,
         end: Time,
     ) -> ClientResult<Vec<WireMessage>> {
-        self.read_inner(container, topics, Some((start, end)))
-    }
-
-    fn read_inner(
-        &mut self,
-        container: &str,
-        topics: &[&str],
-        range: Option<(Time, Time)>,
-    ) -> ClientResult<Vec<WireMessage>> {
-        self.read_stream_inner(container, topics, range)?.collect()
+        self.read_stream_inner(container, topics, Some((start, end)))?.collect()
     }
 
     /// Issue a `READ` and iterate messages as chunk frames arrive,
@@ -361,8 +352,8 @@ impl<C: Connection> ServeClient<C> {
     /// Append a batch of live messages to an ingest root. The ack means
     /// every message in the batch is durable (WAL-committed) on the
     /// server; returns `(appended, epoch)`. Not idempotent — a retry
-    /// after an ambiguous failure may duplicate the batch, which is why
-    /// [`RetryClient`] does not wrap it.
+    /// after an ambiguous failure may duplicate the batch, so it does
+    /// not belong in a [`RetryClient::call`].
     pub fn append(
         &mut self,
         container: &str,
@@ -854,7 +845,14 @@ impl<T: Transport> RetryClient<T> {
         Ok(self.client.as_mut().expect("just connected"))
     }
 
-    fn run<R>(
+    /// Run one request with retry: `client.call(|c| c.topics("/c"))`.
+    /// `op` may run more than once, so it should be an idempotent read —
+    /// a collected `read` or `query` is retried as a unit, re-issued from
+    /// the start on a fresh connection if it breaks mid-stream (the cost
+    /// is repeated work, never duplicated or missing messages). `append`
+    /// is not idempotent and `shutdown` has its own un-retried method.
+    /// A success resets the backoff ladder.
+    pub fn call<R>(
         &mut self,
         mut op: impl FnMut(&mut ServeClient<T::Conn>) -> ClientResult<R>,
     ) -> ClientResult<R> {
@@ -888,6 +886,7 @@ impl<T: Transport> RetryClient<T> {
                             if let Some(b) = self.budget.as_mut() {
                                 b.on_success();
                             }
+                            self.next_retry = 0;
                             return Ok(v);
                         }
                         Err(e) => e,
@@ -937,80 +936,6 @@ impl<T: Transport> RetryClient<T> {
                 std::thread::sleep(Duration::from_millis(delay));
             }
         }
-    }
-
-    fn run_reset<R>(
-        &mut self,
-        op: impl FnMut(&mut ServeClient<T::Conn>) -> ClientResult<R>,
-    ) -> ClientResult<R> {
-        let out = self.run(op);
-        if out.is_ok() {
-            self.next_retry = 0;
-        }
-        out
-    }
-
-    pub fn open(&mut self, container: &str) -> ClientResult<(ContainerStat, bool)> {
-        self.run_reset(|c| c.open(container))
-    }
-
-    pub fn topics(&mut self, container: &str) -> ClientResult<Vec<String>> {
-        self.run_reset(|c| c.topics(container))
-    }
-
-    pub fn meta(&mut self, container: &str) -> ClientResult<Vec<u8>> {
-        self.run_reset(|c| c.meta(container))
-    }
-
-    /// A read collected to completion, with retry. The stream is retried
-    /// as a unit: if it breaks mid-flight the whole query is re-issued
-    /// from the start on a fresh connection (reads are idempotent — the
-    /// cost is repeated work, never duplicated or missing messages).
-    pub fn read(&mut self, container: &str, topics: &[&str]) -> ClientResult<Vec<WireMessage>> {
-        self.run_reset(|c| c.read(container, topics))
-    }
-
-    pub fn read_time(
-        &mut self,
-        container: &str,
-        topics: &[&str],
-        start: Time,
-        end: Time,
-    ) -> ClientResult<Vec<WireMessage>> {
-        self.run_reset(|c| c.read_time(container, topics, start, end))
-    }
-
-    /// A query retried as a unit: if the stream breaks mid-flight the
-    /// whole statement is re-issued on a fresh connection (queries are
-    /// idempotent reads). [`ErrorCode::BadQuery`] is permanent and
-    /// surfaces immediately — resending a statement that cannot parse
-    /// would only repeat the failure.
-    pub fn query(&mut self, container: &str, sql: &str) -> ClientResult<QueryReply> {
-        self.run_reset(|c| c.query(container, sql))
-    }
-
-    /// Fragment-mode variant of [`RetryClient::query`]; see
-    /// [`ServeClient::query_partial`].
-    pub fn query_partial(&mut self, container: &str, sql: &str) -> ClientResult<QueryReply> {
-        self.run_reset(|c| c.query_partial(container, sql))
-    }
-
-    pub fn stat(&mut self, container: &str) -> ClientResult<ContainerStat> {
-        self.run_reset(|c| c.stat(container))
-    }
-
-    pub fn stats(&mut self) -> ClientResult<StatsSnapshot> {
-        self.run_reset(|c| c.stats())
-    }
-
-    pub fn metrics(&mut self) -> ClientResult<MetricsReport> {
-        self.run_reset(|c| c.metrics())
-    }
-
-    /// Health probe. Not retried beyond the policy's normal schedule: a
-    /// probe that needs retries is itself the health signal.
-    pub fn ping(&mut self) -> ClientResult<PingInfo> {
-        self.run_reset(|c| c.ping())
     }
 
     /// Shutdown is not retried: a lost response is indistinguishable from
@@ -1179,7 +1104,7 @@ mod tests {
             Step::Reply(Response::Topics(vec!["/imu".into()])),
         ]);
         let mut c = RetryClient::new(&t, policy(5));
-        assert_eq!(c.topics("/c").unwrap(), vec!["/imu".to_owned()]);
+        assert_eq!(c.call(|s| s.topics("/c")).unwrap(), vec!["/imu".to_owned()]);
         assert_eq!(c.retries(), 2);
         assert_eq!(t.connects.load(Ordering::SeqCst), 1, "server errors keep the connection");
     }
@@ -1188,7 +1113,7 @@ mod tests {
     fn broken_stream_reconnects_then_succeeds() {
         let t = ScriptedTransport::new(vec![Step::Break, Step::Reply(Response::Topics(vec![]))]);
         let mut c = RetryClient::new(&t, policy(3));
-        assert_eq!(c.topics("/c").unwrap(), Vec::<String>::new());
+        assert_eq!(c.call(|s| s.topics("/c")).unwrap(), Vec::<String>::new());
         assert_eq!(c.retries(), 1);
         assert_eq!(t.connects.load(Ordering::SeqCst), 2, "I/O failure forces a reconnect");
     }
@@ -1202,7 +1127,7 @@ mod tests {
             Step::Reply(Response::Topics(vec![])), // never reached
         ]);
         let mut c = RetryClient::new(&t, policy(3));
-        match c.topics("/c") {
+        match c.call(|s| s.topics("/c")) {
             Err(ClientError::Server { code: ErrorCode::Io, .. }) => {}
             other => panic!("expected Io server error, got {other:?}"),
         }
@@ -1218,7 +1143,7 @@ mod tests {
                 Step::Reply(Response::Topics(vec![])),
             ]);
             let mut c = RetryClient::new(&t, policy(5));
-            match c.topics("/c") {
+            match c.call(|s| s.topics("/c")) {
                 Err(ClientError::Server { code: got, .. }) => assert_eq!(got, code),
                 other => panic!("expected server error, got {other:?}"),
             }
@@ -1234,7 +1159,7 @@ mod tests {
             Step::Reply(Response::Topics(vec![])),
         ]);
         let mut c = RetryClient::new(&t, policy(3));
-        assert!(c.topics("/c").is_ok());
+        assert!(c.call(|s| s.topics("/c")).is_ok());
         assert_eq!(c.retries(), 1);
     }
 
@@ -1250,7 +1175,7 @@ mod tests {
             ..policy(100)
         };
         let mut c = RetryClient::new(&t, p);
-        match c.topics("/c") {
+        match c.call(|s| s.topics("/c")) {
             Err(ClientError::Server { code: ErrorCode::Io, .. }) => {}
             other => panic!("expected the underlying Io error, got {other:?}"),
         }
@@ -1272,9 +1197,12 @@ mod tests {
             ..policy(5)
         };
         let mut c = RetryClient::new(&t, p);
-        assert!(c.topics("/c").is_ok(), "first call retries through on the banked token");
+        assert!(
+            c.call(|s| s.topics("/c")).is_ok(),
+            "first call retries through on the banked token"
+        );
         assert_eq!(c.retry_budget().unwrap().tokens(), 0.5, "success earned half a token back");
-        match c.topics("/c") {
+        match c.call(|s| s.topics("/c")) {
             Err(ClientError::Server { code: ErrorCode::Io, .. }) => {}
             other => panic!("expected fail-fast on empty bucket, got {other:?}"),
         }
@@ -1297,7 +1225,7 @@ mod tests {
         };
         let start = Instant::now();
         let mut c = RetryClient::new(&t, p);
-        match c.topics("/c") {
+        match c.call(|s| s.topics("/c")) {
             Err(ClientError::DeadlineExceeded { deadline, last_error, .. }) => {
                 assert_eq!(deadline, Duration::from_millis(50));
                 assert!(last_error.contains("scripted break"), "carries the real failure");
@@ -1319,7 +1247,7 @@ mod tests {
         let t = ScriptedTransport::new(vec![Step::Reply(Response::Topics(vec![]))]);
         let p = RetryPolicy { deadline: Some(Duration::ZERO), ..policy(3) };
         let mut c = RetryClient::new(&t, p);
-        assert!(matches!(c.topics("/c"), Err(ClientError::DeadlineExceeded { .. })));
+        assert!(matches!(c.call(|s| s.topics("/c")), Err(ClientError::DeadlineExceeded { .. })));
         assert_eq!(t.steps.lock().unwrap().len(), 1, "no request was sent");
         assert_eq!(t.connects.load(Ordering::SeqCst), 0, "no connection was made");
     }

@@ -1,10 +1,10 @@
 //! Decoder allocations are bounded by input length.
 //!
-//! Every count on the wire (messages, topics, metrics entries) is
-//! checked against the bytes that remain before capacity is reserved
-//! for it. Each crafted frame below claims a huge count in a few bytes:
-//! decoding must fail with a typed error, and a counting global
-//! allocator shows the attempt never holds more than 1 MiB.
+//! Every count on the wire (messages, topics, metrics entries, query
+//! row cells) is checked against the bytes that remain before capacity
+//! is reserved for it. Each crafted frame below claims a huge count in
+//! a few bytes: decoding must fail with a typed error, and a counting
+//! global allocator shows the attempt never holds more than 1 MiB.
 //!
 //! This binary holds a single test so no other test thread allocates
 //! while the peak is being measured.
@@ -100,4 +100,13 @@ fn forged_counts_fail_typed_without_large_allocations() {
         assert!(res.is_err(), "{what}: forged count must be a typed error");
         assert!(peak < LIMIT, "{what}: decoding allocated {peak} bytes");
     }
+
+    // QUERY chunk rows, which `ServeClient::query` decodes from the
+    // server's bytes: one row claiming 65535 cells in a 7-byte blob.
+    let mut rows = 1u32.to_le_bytes().to_vec();
+    rows.extend_from_slice(&huge16);
+    rows.push(0); // one NULL cell, then the blob ends
+    let (res, peak) = peak_during(|| bora_query::decode_rows(&rows));
+    assert!(res.is_err(), "query rows, 65535 cells: forged count must be a typed error");
+    assert!(peak < LIMIT, "query rows, 65535 cells: decoding allocated {peak} bytes");
 }

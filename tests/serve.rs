@@ -224,9 +224,9 @@ fn retry_client_completes_query_mix_under_transient_faults() {
     // Warm both containers while the backend is healthy: a cold open
     // under a read fault folds into NotAContainer, which is (correctly)
     // permanent — transient faults are only recoverable on warm handles.
-    let healthy = client.read(&roots[0], &["/imu"]).unwrap().len();
+    let healthy = client.call(|c| c.read(&roots[0], &["/imu"])).unwrap().len();
     assert!(healthy > 0);
-    assert_eq!(client.read(&roots[1], &["/imu"]).unwrap().len(), healthy);
+    assert_eq!(client.call(|c| c.read(&roots[1], &["/imu"])).unwrap().len(), healthy);
 
     // Transient backend trouble: the next few reads touching /srv0's
     // data die with Io, then the medium heals (max_failures expires the
@@ -243,9 +243,9 @@ fn retry_client_completes_query_mix_under_transient_faults() {
         let root = &roots[round % roots.len()];
         // Zero client-visible errors across the whole mix: every call
         // either succeeds first try or converges through retries.
-        assert!(!client.topics(root).unwrap().is_empty());
-        assert_eq!(client.read(root, &["/imu"]).unwrap().len(), healthy);
-        assert!(client.stat(root).unwrap().messages > 0);
+        assert!(!client.call(|c| c.topics(root)).unwrap().is_empty());
+        assert_eq!(client.call(|c| c.read(root, &["/imu"])).unwrap().len(), healthy);
+        assert!(client.call(|c| c.stat(root)).unwrap().messages > 0);
     }
     assert!(client.retries() > 0, "the injected faults must have forced retries");
     assert!(
@@ -317,9 +317,9 @@ fn streamed_reads_survive_transient_faults_via_retry() {
     let mut client = RetryClient::new(MemTransport::new(Arc::clone(&server)), policy);
 
     // Warm handles while healthy; capture the expected bytes.
-    let healthy = client.read(&roots[0], &["/imu"]).unwrap();
+    let healthy = client.call(|c| c.read(&roots[0], &["/imu"])).unwrap();
     assert!(!healthy.is_empty());
-    assert_eq!(client.read(&roots[1], &["/imu"]).unwrap().len(), healthy.len());
+    assert_eq!(client.call(|c| c.read(&roots[1], &["/imu"])).unwrap().len(), healthy.len());
 
     // A burst of transient read faults on /srv0's data: the streamed read
     // fails mid-stream with a terminal error frame, the retry layer
@@ -333,7 +333,7 @@ fn streamed_reads_survive_transient_faults_via_retry() {
     });
     for round in 0..4 {
         let root = &roots[round % roots.len()];
-        let streamed = client.read(root, &["/imu"]).unwrap();
+        let streamed = client.call(|c| c.read(root, &["/imu"])).unwrap();
         assert_eq!(streamed.len(), healthy.len());
         for (s, b) in streamed.iter().zip(&healthy) {
             assert_eq!((&s.topic, s.time, &s.data), (&b.topic, b.time, &b.data));
