@@ -103,13 +103,23 @@ fn bench_codec(c: &mut Criterion) {
     group.bench_function("decode_lzss_64k", |b| {
         b.iter(|| {
             let mut ctx = IoCtx::new();
-            black_box(decode_frame(black_box(&zip_frame), "bench/data", &mut ctx).unwrap().0.len())
+            black_box(
+                decode_frame(black_box(&zip_frame), BLOCK as u32, "bench/data", &mut ctx)
+                    .unwrap()
+                    .0
+                    .len(),
+            )
         })
     });
     group.bench_function("decode_raw_64k", |b| {
         b.iter(|| {
             let mut ctx = IoCtx::new();
-            black_box(decode_frame(black_box(&raw_frame), "bench/data", &mut ctx).unwrap().0.len())
+            black_box(
+                decode_frame(black_box(&raw_frame), BLOCK as u32, "bench/data", &mut ctx)
+                    .unwrap()
+                    .0
+                    .len(),
+            )
         })
     });
     group.finish();

@@ -35,15 +35,17 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use bora::block::{read_logical, BlockCodec, BlockParams, BlockWriter};
+use bora::block::{BlockCodec, BlockParams};
 use bora::bufpool::BufferPool;
 use bora::checksum::crc32c;
+use bora::container::BoraBag;
 use bora::error::{BoraError, BoraResult};
-use bora::layout::{manifest_path, meta_path, rel_path, staging_path, TopicPaths, META_FILE};
-use bora::manifest::{Manifest, ManifestEntry};
+use bora::layout::{meta_path, TopicPaths};
+use bora::manifest::Manifest;
 use bora::meta::{ContainerMeta, TopicMeta};
-use bora::time_index::{TimeIndex, DEFAULT_WINDOW_NS};
-use bora::topic_index::{decode_entries, encode_entries, TopicIndexEntry, ENTRY_SIZE};
+use bora::time_index::DEFAULT_WINDOW_NS;
+use bora::topic_index::{TopicIndexEntry, ENTRY_SIZE};
+use bora::writer::{self, TopicWriter};
 use parking_lot::Mutex;
 use ros_msgs::wire::{WireRead, WireWrite};
 use ros_msgs::Time;
@@ -285,7 +287,9 @@ impl<S: Storage> IngestStore<S> {
             ..ContainerMeta::default()
         };
         let marker = GenMarker { generation: 0, last_seal_seq: 0, last_wal_seq: 0 };
-        let g0 = commit_generation(&storage, &root, &meta, &marker, &BTreeMap::new(), ctx)?;
+        let g0 = gen_root(&root, 0);
+        writer::stage(&storage, &g0, ctx)?;
+        writer::commit(&storage, &g0, &meta, &[(GEN_MARKER, marker.encode())], Vec::new(), ctx)?;
         storage.append(&mp, &cfg.encode(), ctx)?;
         storage.flush(&mp, ctx)?;
         let gen =
@@ -635,80 +639,63 @@ impl<S: Storage> IngestStore<S> {
             return Ok(st.gen.generation);
         }
         let old = Arc::clone(&st.gen);
-        let old_meta = ContainerMeta::decode(&self.storage.read_all(&meta_path(&old.root), ctx)?)?;
+        // Copy the old generation forward through a verified open, so
+        // every byte is checked against its MANIFEST (v1) or frame CRCs
+        // (blocks) and damage surfaces here, not in the next generation.
+        // It is read in its own layout, so a codec change works either way.
+        let old_bag = BoraBag::open(&self.storage, &old.root, ctx)?;
+        let old_meta = old_bag.meta();
         let mut topics: BTreeSet<String> =
             old_meta.topics.iter().map(|t| t.topic.clone()).collect();
         for b in &st.sealed {
             topics.extend(b.topics.keys().cloned());
         }
-        let mut topic_files: TopicFiles = BTreeMap::new();
+        let marker = GenMarker {
+            generation: old.generation + 1,
+            last_seal_seq: st.sealed.last().expect("non-empty").seal_seq,
+            last_wal_seq: st.sealed.iter().map(|b| b.last_wal_seq).fold(old.last_wal_seq, u64::max),
+        };
+        let new_root = gen_root(&self.root, marker.generation);
+        let stage = writer::stage(&self.storage, &new_root, ctx)?;
+        let mut files = Vec::new();
         let mut topic_meta = Vec::with_capacity(topics.len());
         let mut bytes_written = 0u64;
         let (mut start, mut end, mut any) = (Time::MAX, Time::ZERO, false);
+        let (cfg, storage) = (&self.cfg, &self.storage);
         for topic in &topics {
-            let paths = TopicPaths::new(&old.root, topic);
-            let (mut data, mut entries) = if old_meta.topic(topic).is_some() {
-                // `read_logical` transparently de-frames a blocked old
-                // generation, so compaction works across a codec change
-                // in either direction.
-                (
-                    read_logical(&self.storage, &paths, ctx)?,
-                    decode_entries(&self.storage.read_all(&paths.index, ctx)?)?,
-                )
-            } else {
-                (Vec::new(), Vec::new())
-            };
-            for b in &st.sealed {
-                if let Some(msgs) = b.topics.get(topic) {
-                    for m in msgs {
-                        entries.push(TopicIndexEntry {
-                            time: m.time,
-                            offset: data.len() as u64,
-                            len: m.data.len() as u32,
-                        });
-                        data.extend_from_slice(&m.data);
-                    }
+            let mut w = TopicWriter::create(storage, &stage, topic, cfg.window_ns, cfg.block, ctx)?;
+            let tm = old_meta.topic(topic);
+            if tm.is_some() {
+                let (index, data) = old_bag.read_topic_raw(topic, ctx)?;
+                for e in &index {
+                    let payload =
+                        data.get(e.offset as usize..e.end() as usize).ok_or_else(|| {
+                            BoraError::Corrupt(format!("{topic}: index entry past end of data"))
+                        })?;
+                    w.push(storage, e.time, payload, ctx)?;
                 }
             }
-            if let (Some(first), Some(last)) = (entries.first(), entries.last()) {
-                any = true;
-                start = start.min(first.time);
-                end = end.max(last.time);
+            for m in st.sealed.iter().filter_map(|b| b.topics.get(topic)).flatten() {
+                w.push(storage, m.time, &m.data, ctx)?;
             }
-            let index = encode_entries(&entries);
-            let tindex = TimeIndex::build(&entries, self.cfg.window_ns).encode();
-            let tm = old_meta.topic(topic);
+            let t = w.finish(storage, ctx)?;
+            if let Some((first, last)) = t.span {
+                any = true;
+                start = start.min(first);
+                end = end.max(last);
+            }
             topic_meta.push(TopicMeta {
                 topic: topic.clone(),
                 datatype: tm.map(|t| t.datatype.clone()).unwrap_or_default(),
                 md5sum: tm.map(|t| t.md5sum.clone()).unwrap_or_default(),
                 definition: tm.map(|t| t.definition.clone()).unwrap_or_default(),
-                message_count: entries.len() as u64,
-                bytes: data.len() as u64,
+                message_count: t.message_count,
+                bytes: t.bytes,
             });
-            // Index entries keep logical offsets; only the staged `data`
-            // bytes change representation when block framing is on.
-            let (data, blocks) = match self.cfg.block {
-                Some(params) => {
-                    let mut w = BlockWriter::new(params);
-                    for e in &entries {
-                        let (off, end) = (e.offset as usize, e.end() as usize);
-                        w.push(e.time, &data[off..end], ctx);
-                    }
-                    let (framed, map, _, _) = w.finish(ctx);
-                    (framed, Some(map.encode()))
-                }
-                None => (data, None),
-            };
-            bytes_written +=
-                (data.len() + index.len() + tindex.len() + blocks.as_ref().map_or(0, Vec::len))
-                    as u64;
-            topic_files.insert(topic.clone(), (data, index, tindex, blocks));
+            bytes_written += t.files.iter().map(|f| f.len).sum::<u64>();
+            files.extend(t.files);
         }
         let (start, end) = if any { (start, end) } else { (Time::ZERO, Time::ZERO) };
-        let last_seal_seq = st.sealed.last().expect("non-empty").seal_seq;
-        let last_wal_seq =
-            st.sealed.iter().map(|b| b.last_wal_seq).fold(old.last_wal_seq, u64::max);
         let meta = ContainerMeta {
             topics: topic_meta,
             start_time: start,
@@ -717,9 +704,7 @@ impl<S: Storage> IngestStore<S> {
             source_bag_len: bytes_written,
             block: self.cfg.block,
         };
-        let marker = GenMarker { generation: old.generation + 1, last_seal_seq, last_wal_seq };
-        let new_root =
-            commit_generation(&self.storage, &self.root, &meta, &marker, &topic_files, ctx)?;
+        writer::commit(storage, &new_root, &meta, &[(GEN_MARKER, marker.encode())], files, ctx)?;
         // Committed: the consumed seg/seal files are redundant now.
         for b in &st.sealed {
             for topic in b.topics.keys() {
@@ -737,8 +722,8 @@ impl<S: Storage> IngestStore<S> {
         let new_gen = Arc::new(GenHandle {
             generation: marker.generation,
             root: new_root,
-            last_seal_seq,
-            last_wal_seq,
+            last_seal_seq: marker.last_seal_seq,
+            last_wal_seq: marker.last_wal_seq,
         });
         let retired = std::mem::replace(&mut st.gen, new_gen);
         st.retired.push(retired);
@@ -792,66 +777,6 @@ impl<S: Storage + Clone> IngestStore<S> {
             self.pool.clone(),
         ))
     }
-}
-
-/// Per-topic `(data, index, tindex, blocks)` container file bytes, keyed
-/// by topic; `blocks` is the encoded block map when the generation is
-/// block-framed.
-type TopicFiles = BTreeMap<String, (Vec<u8>, Vec<u8>, Vec<u8>, Option<Vec<u8>>)>;
-
-/// Build and atomically commit one generation container under
-/// `<root>/gen/`: files first, `.bora` and `.ingest`, MANIFEST last,
-/// fsync, one rename.
-fn commit_generation<S: Storage>(
-    storage: &S,
-    root: &str,
-    meta: &ContainerMeta,
-    marker: &GenMarker,
-    topic_files: &TopicFiles,
-    ctx: &mut IoCtx,
-) -> BoraResult<String> {
-    let dst = gen_root(root, marker.generation);
-    let stage = staging_path(&dst);
-    if storage.exists(&stage, ctx) {
-        storage.remove_dir_all(&stage, ctx)?;
-    }
-    storage.mkdir_all(&stage, ctx)?;
-    let mut entries: Vec<ManifestEntry> = Vec::new();
-    for (topic, (data, index, tindex, blocks)) in topic_files {
-        let paths = TopicPaths::new(&stage, topic);
-        storage.mkdir_all(&paths.dir, ctx)?;
-        let mut files = vec![(&paths.data, data), (&paths.index, index), (&paths.tindex, tindex)];
-        if let Some(map) = blocks {
-            files.push((&paths.blocks, map));
-        }
-        for (path, bytes) in files {
-            storage.append(path, bytes, ctx)?;
-            let rel = rel_path(&stage, path).expect("staged file under stage root").to_owned();
-            entries.push(ManifestEntry {
-                path: rel,
-                len: bytes.len() as u64,
-                crc32c: crc32c(bytes),
-            });
-        }
-    }
-    let meta_bytes = meta.encode();
-    storage.append(&meta_path(&stage), &meta_bytes, ctx)?;
-    entries.push(ManifestEntry {
-        path: META_FILE.to_owned(),
-        len: meta_bytes.len() as u64,
-        crc32c: crc32c(&meta_bytes),
-    });
-    let marker_bytes = marker.encode();
-    storage.append(&format!("{stage}/{GEN_MARKER}"), &marker_bytes, ctx)?;
-    entries.push(ManifestEntry {
-        path: GEN_MARKER.to_owned(),
-        len: marker_bytes.len() as u64,
-        crc32c: crc32c(&marker_bytes),
-    });
-    Manifest::new(entries)?.store(storage, &stage, ctx)?;
-    storage.flush(&manifest_path(&stage), ctx)?;
-    storage.rename(&stage, &dst, ctx)?;
-    Ok(dst)
 }
 
 fn load_gen_marker<S: Storage>(

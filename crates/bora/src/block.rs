@@ -32,11 +32,10 @@
 
 use ros_msgs::Time;
 use simfs::device::cpu;
-use simfs::{IoCtx, Storage};
+use simfs::IoCtx;
 
 use crate::checksum::crc32c;
 use crate::error::{BoraError, BoraResult};
-use crate::layout::TopicPaths;
 
 /// Magic of the per-topic `blocks` map file ("BLKS").
 const BLOCKS_MAGIC: u32 = 0x424C_4B53;
@@ -172,7 +171,9 @@ impl BlockMap {
         }
         let logical_len = cur.u64()?;
         let count = cur.u32()? as usize;
-        let mut entries = Vec::with_capacity(count.min(1 << 20));
+        // Every entry takes at least two varint bytes, so the bytes left
+        // bound what a forged count can make us reserve.
+        let mut entries = Vec::with_capacity(count.min((bytes.len() - cur.pos) / 2));
         let (mut phys_off, mut prev_time) = (0u64, 0u64);
         for _ in 0..count {
             let frame_len = cur.varint()?;
@@ -227,9 +228,16 @@ pub fn encode_frame(codec: BlockCodec, logical: &[u8], ctx: &mut IoCtx) -> Vec<u
 
 /// Decode one frame starting at `frame[0]`, verifying the stored-byte CRC
 /// before any decompression. `path` labels the [`BoraError::ChecksumMismatch`]
-/// (container-relative, like manifest verification failures). Returns the
-/// logical bytes and the physical frame length consumed.
-pub fn decode_frame(frame: &[u8], path: &str, ctx: &mut IoCtx) -> BoraResult<(Vec<u8>, usize)> {
+/// (container-relative, like manifest verification failures). The CRC does
+/// not cover the header, so a claimed logical length above `block_size`
+/// is rejected before anything is allocated for it. Returns the logical
+/// bytes and the physical frame length consumed.
+pub fn decode_frame(
+    frame: &[u8],
+    block_size: u32,
+    path: &str,
+    ctx: &mut IoCtx,
+) -> BoraResult<(Vec<u8>, usize)> {
     if frame.len() < FRAME_HEADER_LEN {
         return Err(BoraError::Corrupt(format!("{path}: truncated block frame header")));
     }
@@ -237,6 +245,11 @@ pub fn decode_frame(frame: &[u8], path: &str, ctx: &mut IoCtx) -> BoraResult<(Ve
     let unc_len = u32::from_le_bytes(frame[1..5].try_into().unwrap()) as usize;
     let phys_len = u32::from_le_bytes(frame[5..9].try_into().unwrap()) as usize;
     let expected = u32::from_le_bytes(frame[9..13].try_into().unwrap());
+    if unc_len > block_size as usize {
+        return Err(BoraError::Corrupt(format!(
+            "{path}: block frame claims {unc_len} logical bytes, block size is {block_size}"
+        )));
+    }
     let total = FRAME_HEADER_LEN + phys_len;
     if frame.len() < total {
         return Err(BoraError::Corrupt(format!("{path}: truncated block frame payload")));
@@ -264,10 +277,10 @@ pub fn decode_frame(frame: &[u8], path: &str, ctx: &mut IoCtx) -> BoraResult<(Ve
 }
 
 /// Streaming writer for one topic's block-framed `data` file: payloads go
-/// in logically, full frames come out physically. The organizer's
-/// distributors and the ingest compactor both drive one of these per
-/// topic; the caller flushes [`BlockWriter::take_output`] to storage at
-/// its own write-buffer cadence.
+/// in logically, full frames come out physically. The container writer
+/// ([`crate::writer::TopicWriter`]) drives one per framed topic and
+/// flushes [`BlockWriter::take_output`] to storage at its write-buffer
+/// cadence.
 pub struct BlockWriter {
     params: BlockParams,
     /// Pending logical bytes of the current (unfinished) block.
@@ -358,35 +371,6 @@ impl BlockWriter {
     }
 }
 
-/// Read a whole block-framed `data` file back to logical bytes by
-/// scanning its self-describing frames (no map needed — the ingest
-/// compactor uses this on old generations).
-pub fn decode_frames(data: &[u8], path: &str, ctx: &mut IoCtx) -> BoraResult<Vec<u8>> {
-    let mut out = Vec::with_capacity(data.len());
-    let mut pos = 0usize;
-    while pos < data.len() {
-        let (logical, consumed) = decode_frame(&data[pos..], path, ctx)?;
-        out.extend_from_slice(&logical);
-        pos += consumed;
-    }
-    Ok(out)
-}
-
-/// Read one topic's `data` file as **logical** bytes, whether or not the
-/// topic is block-framed (presence of the `blocks` map decides).
-pub fn read_logical<S: Storage>(
-    storage: &S,
-    paths: &TopicPaths,
-    ctx: &mut IoCtx,
-) -> BoraResult<Vec<u8>> {
-    if storage.exists(&paths.blocks, ctx) {
-        let data = storage.read_all(&paths.data, ctx)?;
-        decode_frames(&data, &paths.data, ctx)
-    } else {
-        Ok(storage.read_all(&paths.data, ctx)?)
-    }
-}
-
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
@@ -455,22 +439,24 @@ mod tests {
         assert_eq!(phys_len, frames.len() as u64);
         assert_eq!(map.logical_len, logical.len() as u64);
         assert_eq!(map.phys_len(), phys_len);
-        let decoded = decode_frames(&frames, "t/data", &mut ctx).unwrap();
-        assert_eq!(decoded, logical, "codec {codec:?} bs {block_size}");
         // Map round-trips, and per-block random access agrees.
         let map2 = BlockMap::decode(&map.encode()).unwrap();
         assert_eq!(map2, map);
+        let mut decoded = Vec::new();
         for (i, e) in map.entries.iter().enumerate() {
             let (start, len) = map.logical_range(i);
             let (block, consumed) = decode_frame(
                 &frames[e.phys_off as usize..(e.phys_off + e.frame_len as u64) as usize],
+                block_size,
                 "t/data",
                 &mut ctx,
             )
             .unwrap();
             assert_eq!(consumed as u32, e.frame_len);
             assert_eq!(block.as_slice(), &logical[start as usize..start as usize + len]);
+            decoded.extend_from_slice(&block);
         }
+        assert_eq!(decoded, logical, "codec {codec:?} bs {block_size}");
     }
 
     #[test]
@@ -503,7 +489,7 @@ mod tests {
         let frame = encode_frame(BlockCodec::Lzss, &data, &mut ctx);
         assert_eq!(frame[0], BlockCodec::None.id());
         assert_eq!(frame.len(), FRAME_HEADER_LEN + data.len());
-        let (back, _) = decode_frame(&frame, "t/data", &mut ctx).unwrap();
+        let (back, _) = decode_frame(&frame, 4096, "t/data", &mut ctx).unwrap();
         assert_eq!(back, data);
     }
 
@@ -514,7 +500,7 @@ mod tests {
         let mut frame = encode_frame(BlockCodec::Lzss, &data, &mut ctx);
         let mid = FRAME_HEADER_LEN + (frame.len() - FRAME_HEADER_LEN) / 2;
         frame[mid] ^= 0x20;
-        match decode_frame(&frame, "imu/data", &mut ctx) {
+        match decode_frame(&frame, 500, "imu/data", &mut ctx) {
             Err(BoraError::ChecksumMismatch { path, .. }) => assert_eq!(path, "imu/data"),
             other => panic!("expected ChecksumMismatch, got {other:?}"),
         }
@@ -526,7 +512,7 @@ mod tests {
         let mut ctx = IoCtx::new();
         let frame = encode_frame(BlockCodec::Lzss, &data, &mut ctx);
         for cut in [0, 5, FRAME_HEADER_LEN, frame.len() - 1] {
-            assert!(decode_frame(&frame[..cut], "t/data", &mut ctx).is_err());
+            assert!(decode_frame(&frame[..cut], 500, "t/data", &mut ctx).is_err());
         }
     }
 

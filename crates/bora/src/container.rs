@@ -359,7 +359,7 @@ impl<S: Storage> BoraBag<S> {
         let data_path = &paths.data;
         let fill = move |ctx: &mut IoCtx| -> BoraResult<Vec<u8>> {
             let frame = storage.read_at(data_path, e.phys_off, e.frame_len as usize, ctx)?;
-            let (logical, _) = decode_frame(&frame, &rel, ctx)?;
+            let (logical, _) = decode_frame(&frame, map.block_size, &rel, ctx)?;
             // Every block decode is counted: `EXPLAIN ANALYZE` and the
             // pushdown experiments read the delta of this counter to
             // prove how many decodes a time-range restriction skipped.

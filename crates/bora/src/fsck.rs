@@ -1,6 +1,6 @@
 //! `bora fsck` — container verification and repair.
 //!
-//! The commit protocol (see [`crate::organizer::duplicate`]) admits
+//! The commit protocol (see [`crate::writer`]) admits
 //! exactly three observable states for a container root, and the checker
 //! classifies into them:
 //!
@@ -30,8 +30,7 @@ use crate::layout::{decode_topic, meta_path, staging_path, TopicPaths, MANIFEST_
 use crate::manifest::Manifest;
 use crate::meta::ContainerMeta;
 use crate::organizer::{duplicate, OrganizerOptions};
-use crate::time_index::TimeIndex;
-use crate::topic_index::{encode_entries, TopicIndexEntry};
+use crate::writer::TopicWriter;
 
 /// Verdict for one container root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,19 +274,19 @@ pub fn repair<S: Storage, B: Storage>(
                     return full_rebuild(storage, root, src, src_path, opts, ctx);
                 }
             };
-            let window_ns = match storage
+            let meta = match storage
                 .read_all(&meta_path(root), ctx)
                 .map_err(BoraError::from)
                 .and_then(|b| ContainerMeta::decode(&b))
             {
-                Ok(meta) => meta.window_ns,
+                Ok(meta) => meta,
                 // Meta verified Clean would have landed here with it in
                 // `topics`; unreadable meta forces the full path.
                 Err(_) => return full_rebuild(storage, root, src, src_path, opts, ctx),
             };
             let n = topics.len();
             for topic in &topics {
-                rebuild_topic(storage, root, src, src_path, topic, window_ns, ctx)?;
+                rebuild_topic(storage, root, src, src_path, topic, &meta, ctx)?;
             }
             // Repaired content must match the committed MANIFEST byte for
             // byte; anything less and we re-duplicate the whole thing.
@@ -345,39 +344,31 @@ fn ensure_clean<S: Storage>(storage: &S, root: &str, ctx: &mut IoCtx) -> BoraRes
     Ok(())
 }
 
-/// Rebuild one topic's `data`/`index`/`tindex` from the source bag,
-/// reproducing exactly what the organizer wrote for it.
+/// Rebuild one topic's files from the source bag in the container's own
+/// layout (v1 or block-framed), reproducing exactly what the organizer
+/// wrote for it.
 fn rebuild_topic<S: Storage, B: Storage>(
     storage: &S,
     root: &str,
     src: &B,
     src_path: &str,
     topic: &str,
-    window_ns: u64,
+    meta: &ContainerMeta,
     ctx: &mut IoCtx,
 ) -> BoraResult<()> {
     let reader = rosbag::BagReader::open(src, src_path, ctx)?;
     let msgs = reader.read_messages(&[topic], ctx)?;
     let paths = TopicPaths::new(root, topic);
-    storage.mkdir_all(&paths.dir, ctx)?;
-    for f in [&paths.data, &paths.index, &paths.tindex] {
+    for f in [&paths.data, &paths.index, &paths.tindex, &paths.blocks] {
         if storage.exists(f, ctx) {
             storage.remove_file(f, ctx)?;
         }
     }
-    let mut entries = Vec::with_capacity(msgs.len());
-    let mut data = Vec::new();
+    let mut w = TopicWriter::create(storage, root, topic, meta.window_ns, meta.block, ctx)?;
     for m in &msgs {
-        entries.push(TopicIndexEntry {
-            time: m.time,
-            offset: data.len() as u64,
-            len: m.data.len() as u32,
-        });
-        data.extend_from_slice(&m.data);
+        w.push(storage, m.time, &m.data, ctx)?;
     }
-    storage.append(&paths.data, &data, ctx)?;
-    storage.append(&paths.index, &encode_entries(&entries), ctx)?;
-    storage.append(&paths.tindex, &TimeIndex::build(&entries, window_ns).encode(), ctx)?;
+    w.finish(storage, ctx)?;
     Ok(())
 }
 

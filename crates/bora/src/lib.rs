@@ -29,6 +29,9 @@
 //!   `(topics, start, end)` query touches only candidate windows instead
 //!   of merge-sorting every timestamp.
 //!
+//! [`writer`] owns the container layout and its commit protocol; the
+//! organizer, ingest compaction and `fsck` repair all write through it.
+//!
 //! [`container::BoraBag`] is BORA-Lib: `open` (Fig. 4b — no chunk
 //! iteration), `read_topics` (Fig. 7), and `read_topics_time`.
 //! [`borafs::BoraFs`] is the front-end layer standing in for the paper's
@@ -77,11 +80,11 @@ pub mod manifest;
 pub mod meta;
 pub mod multi;
 pub mod organizer;
-pub mod recorder;
 pub mod stream;
 pub mod tag;
 pub mod time_index;
 pub mod topic_index;
+pub mod writer;
 
 pub use block::{BlockCodec, BlockMap, BlockParams, BlockWriter};
 pub use borafs::{BoraFs, BoraFsOptions};
@@ -94,7 +97,6 @@ pub use manifest::{Manifest, ManifestEntry};
 pub use meta::ContainerMeta;
 pub use multi::{swarm_fan_out, LocalBackend, SwarmBackend, SwarmQuery, SwarmResult, SwarmSpec};
 pub use organizer::{duplicate, OrganizeReport, OrganizerOptions};
-pub use recorder::{BoraRecorder, RecorderOptions};
 pub use stream::{MessageStream, StreamMessage, StreamOptions, StreamStats, TailMessage};
 pub use tag::TagManager;
 pub use time_index::TimeIndex;

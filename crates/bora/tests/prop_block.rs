@@ -17,7 +17,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::sample::select;
 
-use bora::block::{decode_frame, decode_frames, FRAME_HEADER_LEN};
+use bora::block::{decode_frame, FRAME_HEADER_LEN};
 use bora::{BlockCodec, BlockMap, BlockParams, BlockWriter, BoraError};
 use ros_msgs::Time;
 use simfs::IoCtx;
@@ -76,16 +76,19 @@ proptest! {
         let (frames, map, logical) = write_blocks(codec, block_size, &payloads);
         let mut ctx = IoCtx::new();
         prop_assert_eq!(map.logical_len, logical.len() as u64);
-        let decoded = decode_frames(&frames, "t/data", &mut ctx).unwrap();
-        prop_assert_eq!(&decoded, &logical);
-        // Random access through the map agrees with the sequential view.
+        // Random access through the map agrees with the logical bytes,
+        // and the blocks tile them end to end.
+        let mut decoded = Vec::new();
         for (i, e) in map.entries.iter().enumerate() {
             let (start, len) = map.logical_range(i);
             let frame = &frames[e.phys_off as usize..(e.phys_off + e.frame_len as u64) as usize];
-            let (block, used) = decode_frame(frame, "t/data", &mut ctx).unwrap();
+            let (block, used) = decode_frame(frame, block_size, "t/data", &mut ctx).unwrap();
             prop_assert_eq!(used as u32, e.frame_len);
             prop_assert_eq!(&block[..], &logical[start as usize..start as usize + len]);
+            decoded.extend_from_slice(&block);
         }
+        prop_assert_eq!(&decoded, &logical);
+        prop_assert_eq!(map.phys_len(), frames.len() as u64);
         // The map survives its own wire encoding.
         prop_assert_eq!(BlockMap::decode(&map.encode()).unwrap(), map);
     }
@@ -108,7 +111,7 @@ proptest! {
         let mut frame = frames[lo..lo + e.frame_len as usize].to_vec();
         let pos = flip_pos % frame.len();
         frame[pos] ^= 1 << flip_bit;
-        match decode_frame(&frame, "imu/data", &mut ctx) {
+        match decode_frame(&frame, 64, "imu/data", &mut ctx) {
             // Payload corruption must be the *typed* mismatch, so the
             // read path can quarantine and the tooling can report it.
             Err(BoraError::ChecksumMismatch { path, .. }) if pos >= FRAME_HEADER_LEN => {
@@ -135,7 +138,7 @@ proptest! {
         let e = map.entries[0];
         let frame = &frames[e.phys_off as usize..(e.phys_off + e.frame_len as u64) as usize];
         let cut = cut_at % frame.len();
-        prop_assert!(decode_frame(&frame[..cut], "t/data", &mut ctx).is_err());
+        prop_assert!(decode_frame(&frame[..cut], 64, "t/data", &mut ctx).is_err());
     }
 }
 

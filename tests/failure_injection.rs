@@ -136,41 +136,43 @@ fn organizer_fails_cleanly_midway() {
 fn silent_write_corruption_is_caught_by_manifest_crc() {
     // A write that lands corrupted on the medium (bit-rot in transit)
     // does not fail the capture — the corruption is silent. The MANIFEST
-    // CRC, computed from the in-memory payload, catches it at read time
-    // and fsck repairs the one damaged topic from the source bag.
-    let inner = MemStorage::new();
-    build_small_bag(&inner, 100);
-    let fs = FaultyStorage::new(&inner);
-    fs.inject(FaultRule {
-        kind: FaultKind::Writes,
-        path_contains: Some("data".into()),
-        corrupt_with: Some(0x40),
-        max_failures: Some(1),
-        ..FaultRule::default()
-    });
-    let mut ctx = IoCtx::new();
-    bora::organizer::duplicate(&fs, "/b.bag", &fs, "/c", &OrganizerOptions::default(), &mut ctx)
-        .expect("corruption is silent; the capture itself succeeds");
+    // CRC, computed from the in-memory payload, catches it, and fsck
+    // repairs the one damaged topic from the source bag in the
+    // container's own layout, v1 or block-framed.
+    for block in [None, Some(bora::BlockParams::default())] {
+        let opts = OrganizerOptions { block, ..OrganizerOptions::default() };
+        let inner = MemStorage::new();
+        build_small_bag(&inner, 100);
+        let fs = FaultyStorage::new(&inner);
+        fs.inject(FaultRule {
+            kind: FaultKind::Writes,
+            path_contains: Some("data".into()),
+            corrupt_with: Some(0x40),
+            max_failures: Some(1),
+            ..FaultRule::default()
+        });
+        let mut ctx = IoCtx::new();
+        bora::organizer::duplicate(&fs, "/b.bag", &fs, "/c", &opts, &mut ctx)
+            .expect("corruption is silent; the capture itself succeeds");
 
-    let bag = BoraBag::open(&inner, "/c", &mut ctx).unwrap();
-    match bag.read_topic("/imu", &mut ctx) {
-        Err(bora::BoraError::ChecksumMismatch { .. }) => {}
-        other => panic!("expected checksum mismatch, got {other:?}"),
+        // v1 reads verify the whole file against the MANIFEST; a framed
+        // read trips on the frame whose header byte was flipped.
+        let bag = BoraBag::open(&inner, "/c", &mut ctx).unwrap();
+        match (block, bag.read_topic("/imu", &mut ctx)) {
+            (None, Err(bora::BoraError::ChecksumMismatch { .. })) => {}
+            (Some(_), Err(bora::BoraError::Corrupt(_))) => {}
+            (_, other) => panic!("{block:?}: expected a typed read error, got {other:?}"),
+        }
+
+        let report = bora::fsck::check(&inner, "/c", &mut ctx).unwrap();
+        assert_eq!(report.state, bora::FsckState::Corrupt);
+        assert_eq!(report.damages.len(), 1, "{block:?}: {:?}", report.damages);
+        let outcome =
+            bora::fsck::repair(&inner, "/c", Some((&inner, "/b.bag")), &opts, &mut ctx).unwrap();
+        assert_eq!(outcome, bora::RepairOutcome::RepairedTopics(1), "{block:?}");
+        let healed = BoraBag::open(&inner, "/c", &mut ctx).unwrap();
+        assert_eq!(healed.read_topic("/imu", &mut ctx).unwrap().len(), 100);
     }
-
-    let report = bora::fsck::check(&inner, "/c", &mut ctx).unwrap();
-    assert_eq!(report.state, bora::FsckState::Corrupt);
-    let outcome = bora::fsck::repair(
-        &inner,
-        "/c",
-        Some((&inner, "/b.bag")),
-        &OrganizerOptions::default(),
-        &mut ctx,
-    )
-    .unwrap();
-    assert!(matches!(outcome, bora::RepairOutcome::RepairedTopics(_)), "got {outcome:?}");
-    let healed = BoraBag::open(&inner, "/c", &mut ctx).unwrap();
-    assert_eq!(healed.read_topic("/imu", &mut ctx).unwrap().len(), 100);
 }
 
 #[test]
